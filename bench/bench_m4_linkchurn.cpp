@@ -2,14 +2,15 @@
 //
 // Drives provider-generated link events (correlated regional outages plus
 // background reweights by default — fail when live, restore when failed,
-// reweight live links) against an IncrementalDelayEngine + DelayMatrixCache
-// and HARD-GATES the three properties the engine exists for:
+// reweight live links) against an IncrementalDelayEngine and HARD-GATES the
+// three properties the engine exists for:
 //   1. Exactness: at sampled epochs the engine's per-server distances are
-//      bit-identical to a from-scratch dijkstra_fan_out on the same graph.
-//   2. Speed: the median incremental update (engine + cache refresh) beats
-//      the median full recompute (fan-out + rebuilding every device row) by
-//      at least 10x. Skipped under --quick: sanitizers skew timings.
-//   3. Flat memory: engine + cache scratch stays flat across the whole run
+//      bit-identical to a from-scratch dijkstra_fan_out on the same graph,
+//      and so are its reads of every device's delays.
+//   2. Speed: the median incremental update (tree repair + dirty-set drain)
+//      beats the median full recompute (fan-out from every server) by at
+//      least 10x. Skipped under --quick: sanitizers skew timings.
+//   3. Flat memory: engine scratch stays flat across the whole run
 //      (100k link events by default) — repairs must reuse epoch-marked
 //      scratch, not allocate per event.
 // Exit code 1 if a gate fails, so CI can run it as a regression check.
@@ -32,7 +33,7 @@
 #include "bench/bench_common.hpp"
 #include "core/scenario.hpp"
 #include "metrics/stats.hpp"
-#include "topology/incremental/cache.hpp"
+#include "topology/incremental/engine.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -46,18 +47,11 @@ constexpr const char* kDefaultWorkload =
     "reweight_rate=10";
 
 /// One full recompute, the baseline the engine replaces: fan-out Dijkstra
-/// from every server plus rewriting every device row. Returns the trees so
-/// the equivalence gate can reuse them.
+/// from every server. Returns the trees so the equivalence gate can reuse
+/// them.
 std::vector<topo::ShortestPathTree> full_recompute(
-    const topo::NetworkTopology& net, std::vector<std::vector<double>>& rows) {
-  std::vector<topo::ShortestPathTree> trees =
-      topo::dijkstra_fan_out(net.graph, net.edge_nodes);
-  for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
-    for (std::size_t j = 0; j < trees.size(); ++j) {
-      rows[i][j] = trees[j].distance_ms[net.iot_nodes[i]];
-    }
-  }
-  return trees;
+    const topo::NetworkTopology& net) {
+  return topo::dijkstra_fan_out(net.graph, net.edge_nodes);
 }
 
 bool trees_match(const topo::incr::IncrementalDelayEngine& engine,
@@ -89,10 +83,8 @@ int run(int argc, char** argv) {
   const Scenario scenario = Scenario::smart_city(iot, edge, config.base_seed);
   topo::NetworkTopology net = scenario.network();
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
-  for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
+  std::vector<topo::NodeId> dirty;
+  std::size_t dirty_total = 0;
 
   const workload::ProviderContext ctx =
       bench::provider_context(scenario, config.base_seed);
@@ -102,13 +94,11 @@ int run(int argc, char** argv) {
   report.set_provider(workload_spec);
   bench::CsvFile csv(config, "m4_linkchurn");
   csv.writer().header({"event", "kind", "inc_us", "scratch_bytes",
-                       "dirty_rows"});
+                       "dirty_nodes"});
 
   std::vector<double> inc_us;
   inc_us.reserve(events);
   std::vector<double> full_us;
-  std::vector<std::vector<double>> reference_rows(
-      iot, std::vector<double>(edge, 0.0));
   // ~50 full-recompute samples paired with equivalence checks.
   const std::size_t sample_every = std::max<std::size_t>(1, events / 50);
   std::size_t scratch_early = 0;
@@ -147,7 +137,9 @@ int run(int argc, char** argv) {
         default:
           continue;  // device churn is out of scope here
       }
-      const std::size_t refreshed = cache.refresh();
+      dirty.clear();
+      const std::size_t moved = engine.drain_dirty(dirty);
+      dirty_total += moved;
       inc_us.push_back(timer.elapsed_ms() * 1e3);
       const std::size_t event_index = event_count++;
 
@@ -162,10 +154,9 @@ int run(int argc, char** argv) {
       }
 
       if (event_index % sample_every == 0 || event_index + 1 == events) {
-        csv.writer().row(event_index, kind, inc_us.back(), scratch,
-                         refreshed);
+        csv.writer().row(event_index, kind, inc_us.back(), scratch, moved);
         timer.reset();
-        const auto reference = full_recompute(net, reference_rows);
+        const auto reference = full_recompute(net);
         full_us.push_back(timer.elapsed_ms() * 1e3);
         ++equivalence_checks;
         if (!trees_match(engine, reference, net.graph.node_count())) {
@@ -174,22 +165,24 @@ int run(int argc, char** argv) {
           exact = false;
           break;
         }
-        for (std::size_t i = 0; i < iot; ++i) {
-          if (cache.row(i) != reference_rows[i]) {
-            std::cerr << "cached delay row " << i << " diverged at event "
-                      << event_index << "\n";
-            exact = false;
-            break;
+        for (std::size_t i = 0; i < iot && exact; ++i) {
+          const topo::NodeId device = net.iot_nodes[i];
+          for (std::size_t j = 0; j < edge; ++j) {
+            const double expected = reference[j].distance_ms[device];
+            if (engine.delay_ms(j, device) != expected) {
+              std::cerr << "device " << i << " delay diverged at event "
+                        << event_index << "\n";
+              exact = false;
+              break;
+            }
           }
         }
         if (!exact) break;
-        // Deep validators at the same sampled epochs: dirty-set bookkeeping,
-        // row-epoch coherence, and dirty-set soundness of the cache. Spot
-        // checks are 0 here — the gate above already compared every tree
-        // against the fresh fan-out. The default abort handler makes any
-        // violation a hard bench failure.
+        // Deep validator at the same sampled epochs: dirty-set bookkeeping.
+        // Spot checks are 0 here — the gate above already compared every
+        // tree against the fresh fan-out. The default abort handler makes
+        // any violation a hard bench failure.
         engine.check_invariants(/*spot_check_trees=*/0);
-        cache.check_invariants();
       }
     }
   }
@@ -211,9 +204,7 @@ int run(int argc, char** argv) {
   table.add_row({"nodes affected",
                  std::to_string(stats.nodes_affected)});
   table.add_row({"node visits saved", std::to_string(stats.nodes_saved)});
-  table.add_row({"rows refreshed",
-                 std::to_string(cache.rows_refreshed())});
-  table.add_row({"rows saved", std::to_string(cache.rows_saved())});
+  table.add_row({"dirty nodes drained", std::to_string(dirty_total)});
   table.add_row({"scratch bytes (early/peak)",
                  std::to_string(scratch_early) + " / " +
                      std::to_string(scratch_peak)});

@@ -79,8 +79,9 @@ double portfolio_resolve(const DynamicCluster& cluster,
   std::vector<double> weights(slots.size());
   std::vector<double> demands(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    const std::vector<double>& row = cluster.delay_row(slots[i]);
-    for (std::size_t j = 0; j < servers; ++j) delay.set(i, j, row[j]);
+    for (std::size_t j = 0; j < servers; ++j) {
+      delay.set(i, j, cluster.delay_ms(slots[i], j));
+    }
     weights[i] = cluster.device(slots[i]).request_rate_hz;
     demands[i] = cluster.device(slots[i]).demand;
   }

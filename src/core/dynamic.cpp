@@ -21,9 +21,9 @@ DynamicCluster::DynamicCluster(const Scenario& scenario, Algorithm initial,
 
 DynamicCluster::DynamicCluster(const Scenario& scenario,
                                const ConfigureRequest& request)
-    : net_(scenario.network()),
+    : net_(topo::backbone_of(scenario.network())),
       engine_(net_),
-      oracle_(topo::oracle::make_oracle(request.oracle, engine_)),
+      store_(engine_, scenario.network()),
       delay_model_(scenario.params().delay_model),
       cost_model_(request.cost_model),
       penalty_factor_(request.penalty_factor) {
@@ -41,24 +41,21 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
 
   const ClusterConfigurator configurator(scenario);
   const ClusterConfiguration conf = configurator.configure(request);
-  assignment_ = conf.assignment();
 
+  assignment_.assign(devices_.size(), gap::kUnassigned);
   loads_.assign(capacities_.size(), 0.0);
   failed_.assign(capacities_.size(), false);
   generations_.assign(devices_.size(), 0);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    // Filled from the engine's server trees — the same Dijkstra values the
-    // scenario's instance matrix was built from.
-    oracle_->bind_row(i, net_.iot_nodes[i]);
-    const auto j = static_cast<std::size_t>(assignment_[i]);
-    loads_[j] += devices_[i].demand;
+    set_assignment(i, conf.assignment()[i]);
+    loads_[static_cast<std::size_t>(assignment_[i])] += devices_[i].demand;
   }
   active_ = devices_.size();
 }
 
 double DynamicCluster::placement_cost(std::size_t device_index,
                                       std::size_t server) const {
-  const double delay = oracle_->delay_ms(device_index, server);
+  const double delay = store_.delay_ms(device_index, server);
   const workload::IotDevice& device = devices_[device_index];
   double cost = device.request_rate_hz * delay;
   // kEuclidean deliberately scores as kTopologyAware here: the live engine
@@ -79,13 +76,14 @@ double DynamicCluster::total_cost() const {
   return sum;
 }
 
-void DynamicCluster::refresh_delay_row(std::size_t slot) {
-  oracle_->bind_row(slot, net_.iot_nodes[slot]);
-}
-
-void DynamicCluster::absorb_device_churn() {
-  churn_scratch_.clear();
-  engine_.drain_dirty(churn_scratch_);
+void DynamicCluster::set_assignment(std::size_t slot, std::int32_t server) {
+  if (assignment_[slot] != gap::kUnassigned) {
+    store_.uncount_assigned(slot, static_cast<std::size_t>(assignment_[slot]));
+  }
+  assignment_[slot] = server;
+  if (server != gap::kUnassigned) {
+    store_.count_assigned(slot, static_cast<std::size_t>(server));
+  }
 }
 
 DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
@@ -121,6 +119,8 @@ DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
 void DynamicCluster::attach_device(std::size_t slot,
                                    const workload::IotDevice& device) {
   // Attach to the nearest router with a wireless access link.
+  TACC_REQUIRE(slot == devices_.size() || assignment_[slot] == gap::kUnassigned,
+               "attach an unassigned slot");
   topo::NodeId nearest = router_nodes_.front();
   double nearest_distance = std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < router_nodes_.size(); ++r) {
@@ -131,30 +131,15 @@ void DynamicCluster::attach_device(std::size_t slot,
       nearest = router_nodes_[r];
     }
   }
-  const topo::NodeId node =
-      engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
-  engine_.add_link(node, nearest,
-                   delay_model_.access_link(nearest_distance));
-  absorb_device_churn();
-
+  store_.attach(slot, nearest,
+                delay_model_.access_link(nearest_distance).latency_ms);
   if (slot == devices_.size()) {
     devices_.push_back(device);
     assignment_.push_back(gap::kUnassigned);
     generations_.push_back(0);
-    net_.iot_nodes.push_back(node);
   } else {
     devices_[slot] = device;
-    assignment_[slot] = gap::kUnassigned;
-    net_.iot_nodes[slot] = node;
   }
-  refresh_delay_row(slot);
-}
-
-void DynamicCluster::detach_device(std::size_t slot) {
-  oracle_->unbind_row(slot);
-  engine_.release_node(net_.iot_nodes[slot]);
-  absorb_device_churn();
-  net_.iot_nodes[slot] = topo::kInvalidNode;
 }
 
 JoinResult DynamicCluster::place_device(std::size_t slot) {
@@ -162,7 +147,7 @@ JoinResult DynamicCluster::place_device(std::size_t slot) {
   const ServerChoice choice = cheapest_feasible_server(slot);
   TACC_ENSURE(choice.server < capacities_.size() && !failed_[choice.server],
               "placement must land on a healthy server");
-  assignment_[slot] = static_cast<std::int32_t>(choice.server);
+  set_assignment(slot, static_cast<std::int32_t>(choice.server));
   loads_[choice.server] += devices_[slot].demand;
   ++assignment_version_;
   TACC_ENSURE(!choice.feasible ||
@@ -193,7 +178,7 @@ JoinResult DynamicCluster::move(std::size_t device_index,
   loads_[from] -= devices_[device_index].demand;
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
-  detach_device(device_index);
+  set_assignment(device_index, gap::kUnassigned);
   attach_device(device_index, device);
   return place_device(device_index);
 }
@@ -206,7 +191,7 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
   const auto pinned = static_cast<std::size_t>(assignment_[device_index]);
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
-  detach_device(device_index);
+  set_assignment(device_index, gap::kUnassigned);
   attach_device(device_index, device);
   if (failed_[pinned]) {
     // The pinned server went down (deferred evacuation): a handover must
@@ -214,7 +199,7 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
     loads_[pinned] -= device.demand;
     return place_device(device_index);
   }
-  assignment_[device_index] = static_cast<std::int32_t>(pinned);
+  set_assignment(device_index, static_cast<std::int32_t>(pinned));
   ++assignment_version_;
   // Score through the shared CostModel rather than re-deriving delay
   // locally — the "no reconfiguration" baseline and the re-optimizer must
@@ -232,8 +217,8 @@ void DynamicCluster::leave(std::size_t device_index) {
   loads_[j] -= devices_[device_index].demand;
   TACC_ENSURE(loads_[j] >= -kEps,
               "leave drove a server's load negative — double free?");
-  assignment_[device_index] = gap::kUnassigned;
-  detach_device(device_index);
+  set_assignment(device_index, gap::kUnassigned);
+  store_.detach(device_index);
   free_slots_.push_back(device_index);
   ++generations_[device_index];  // recycled occupants are a new generation
   ++assignment_version_;
@@ -263,7 +248,7 @@ std::size_t DynamicCluster::rebalance(std::size_t max_moves) {
       if (best != from) {
         loads_[from] -= demand;
         loads_[best] += demand;
-        assignment_[i] = static_cast<std::int32_t>(best);
+        set_assignment(i, static_cast<std::int32_t>(best));
         ++assignment_version_;
         ++moves;
         improved = true;
@@ -301,7 +286,7 @@ std::size_t DynamicCluster::repair(std::size_t max_moves) {
       if (victim == devices_.size()) break;  // nothing movable off j
       loads_[j] -= devices_[victim].demand;
       loads_[target] += devices_[victim].demand;
-      assignment_[victim] = static_cast<std::int32_t>(target);
+      set_assignment(victim, static_cast<std::int32_t>(target));
       ++assignment_version_;
       ++moves;
     }
@@ -339,7 +324,7 @@ MovePlanReport DynamicCluster::apply_move_plan(const MovePlan& plan,
                             placement_cost(move.device, move.to);
     loads_[move.from] -= demand;
     loads_[move.to] += demand;
-    assignment_[move.device] = static_cast<std::int32_t>(move.to);
+    set_assignment(move.device, static_cast<std::int32_t>(move.to));
     ++assignment_version_;
     if (ledger != nullptr) ledger->charge(move.device);
     ++report.applied;
@@ -404,14 +389,9 @@ std::size_t DynamicCluster::server_of(std::size_t device_index) const {
   return static_cast<std::size_t>(assignment_[device_index]);
 }
 
-double DynamicCluster::avg_delay_ms() const noexcept {
+double DynamicCluster::avg_delay_ms() const {
   if (active_ == 0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (assignment_[i] == gap::kUnassigned) continue;
-    sum += oracle_->delay_ms(i, static_cast<std::size_t>(assignment_[i]));
-  }
-  return sum / static_cast<double>(active_);
+  return store_.assigned_delay_sum() / static_cast<double>(active_);
 }
 
 double DynamicCluster::max_utilization() const noexcept {
@@ -434,10 +414,10 @@ void DynamicCluster::require_backbone(topo::NodeId u, topo::NodeId v) const {
 
 LinkUpdateReport DynamicCluster::finish_link_update(
     const topo::incr::EngineStats& before, double latency_ms) {
+  store_.refresh();
   LinkUpdateReport report;
-  report.rows_refreshed = oracle_->refresh();
   const topo::incr::EngineStats& after = engine_.stats();
-  report.epoch = after.epoch;
+  report.epoch = store_.epoch();
   report.nodes_affected = after.nodes_affected - before.nodes_affected;
   report.nodes_saved = after.nodes_saved - before.nodes_saved;
   report.latency_ms = latency_ms;
@@ -471,8 +451,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   // ---- Slot accounting -----------------------------------------------------
   TACC_CHECK_INVARIANT(assignment_.size() == devices_.size(),
                        "assignment must cover every device slot");
-  TACC_CHECK_INVARIANT(net_.iot_nodes.size() == devices_.size(),
-                       "iot_nodes must cover every device slot");
+  TACC_CHECK_INVARIANT(store_.slot_count() == devices_.size(),
+                       "the delay store must cover every device slot");
   TACC_CHECK_INVARIANT(
       loads_.size() == capacities_.size() && failed_.size() == loads_.size(),
       "per-server arrays must stay parallel");
@@ -488,23 +468,23 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     on_free_list[slot] = true;
     TACC_CHECK_INVARIANT(assignment_[slot] == gap::kUnassigned,
                          "free slot still assigned: " + std::to_string(slot));
-    TACC_CHECK_INVARIANT(net_.iot_nodes[slot] == topo::kInvalidNode,
-                         "free slot still holds a graph node: " +
+    TACC_CHECK_INVARIANT(store_.router(slot) == topo::kInvalidNode,
+                         "free slot still attached to a router: " +
                              std::to_string(slot));
   }
 
-  // ---- Load accounting + slot<->row binding --------------------------------
+  // ---- Load accounting + delay tally ---------------------------------------
+  const std::size_t nodes = net_.graph.node_count();
   std::size_t active_seen = 0;
   std::vector<double> recomputed(capacities_.size(), 0.0);
+  std::vector<std::uint32_t> counts(nodes * capacities_.size(), 0);
+  double access_sum = 0.0;
+  double delay_sum = 0.0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (assignment_[i] == gap::kUnassigned) {
       TACC_CHECK_INVARIANT(on_free_list[i],
                            "inactive slot missing from the free list: " +
                                std::to_string(i));
-      TACC_CHECK_INVARIANT(
-          i >= oracle_->row_count() ||
-              oracle_->row_node(i) == topo::kInvalidNode,
-          "inactive slot still bound to a delay row: " + std::to_string(i));
       continue;
     }
     ++active_seen;
@@ -518,10 +498,14 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     TACC_CHECK_INVARIANT(devices_[i].demand >= 0.0,
                          "negative demand on slot " + std::to_string(i));
     recomputed[j] += devices_[i].demand;
-    TACC_CHECK_INVARIANT(i < oracle_->row_count() &&
-                             oracle_->row_node(i) == net_.iot_nodes[i],
-                         "delay row bound to the wrong graph node: slot " +
+    const topo::NodeId router = store_.router(i);
+    TACC_CHECK_INVARIANT(router < nodes &&
+                             net_.kinds[router] == topo::NodeKind::kRouter,
+                         "active slot not attached to a router: slot " +
                              std::to_string(i));
+    ++counts[j * nodes + router];
+    access_sum += store_.access_ms(i);
+    delay_sum += engine_.delay_ms(j, router) + store_.access_ms(i);
     if (options.forbid_failed_residents) {
       TACC_CHECK_INVARIANT(!failed_[j], "device assigned to failed server " +
                                             std::to_string(j));
@@ -543,18 +527,30 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
                            "server " + std::to_string(j) +
                                " past capacity with require_feasible set");
     }
+    for (topo::NodeId r = 0; r < nodes; ++r) {
+      TACC_CHECK_INVARIANT(store_.assigned_count(r, j) == counts[j * nodes + r],
+                           "delay tally drifted at router " +
+                               std::to_string(r) + ", server " +
+                               std::to_string(j));
+    }
   }
+  const auto close = [](double recorded, double actual) {
+    return recorded == actual ||
+           std::abs(recorded - actual) <= 1e-9 * std::abs(actual) + 1e-12;
+  };
+  TACC_CHECK_INVARIANT(close(store_.assigned_access_sum(), access_sum),
+                       "access-latency sum drifted");
+  TACC_CHECK_INVARIANT(close(store_.assigned_delay_sum(), delay_sum),
+                       "tallied delay sum disagrees with the per-device sum");
 
-  // ---- Node recycling ------------------------------------------------------
-  TACC_CHECK_INVARIANT(
-      net_.graph.live_node_count() ==
-          router_nodes_.size() + net_.edge_count() + active_,
-      "live graph nodes must be exactly routers + servers + active devices");
+  // ---- Devices stay out of the graph ---------------------------------------
+  TACC_CHECK_INVARIANT(nodes == router_nodes_.size() + net_.edge_count(),
+                       "the graph must hold exactly the routers and servers");
 
-  // ---- Underlying topology / engine / oracle -------------------------------
+  // ---- Underlying topology / engine / store --------------------------------
   net_.check_invariants();
   engine_.check_invariants(options.delay_spot_checks);
-  oracle_->check_invariants();
+  store_.check_invariants();
 }
 
 bool DynamicCluster::feasible() const noexcept {

@@ -9,15 +9,20 @@
 // the "cluster configuration" lifecycle the paper's title refers to beyond
 // the one-shot assignment.
 //
+// Devices are not graph nodes. Every device is a leaf with one access link
+// to its nearest router, so its delay to server j factors exactly as
+// D[router][j] + access (topology/oracle/factored.hpp). The cluster keeps
+// shortest-path trees over the backbone (routers and servers) only, and a
+// device is a (router, access latency) pair in a FactoredDelayStore.
+//
 // The engine is churn-hardened for long horizons:
-//  - Node recycling: leave() releases the device's graph node and access
-//    link back to the topology's free list, and its device slot (delay row
-//    included) is reused by the next join. Memory footprint tracks *peak*
-//    population, not cumulative arrivals.
+//  - Slot recycling: leave() parks the device's slot, and the next join
+//    reuses it. Memory footprint tracks *peak* population, not cumulative
+//    arrivals.
 //  - Stable indices: move()/move_pinned() re-attach in place, so a device
 //    keeps its index across handovers (no old-index invalidation).
-//  - Incremental delay rows: only the moved/joined device's row is
-//    recomputed (one Dijkstra), written into recycled storage.
+//  - Cheap churn: a join, move or leave touches no tree; it rewrites the
+//    slot's router and access latency.
 //  - Explicit outcomes: join/move return a JoinResult and failure
 //    evacuations return an EvacuationReport instead of silently falling
 //    back onto an overloaded server.
@@ -28,12 +33,10 @@
 // pid reuse.
 #pragma once
 
-#include <memory>
-
 #include "core/configurator.hpp"
 #include "core/move_plan.hpp"
 #include "core/scenario.hpp"
-#include "topology/oracle/oracle.hpp"
+#include "topology/oracle/factored.hpp"
 
 namespace tacc {
 
@@ -62,10 +65,12 @@ struct EvacuationReport {
 
 /// Outcome of one in-place backbone-link mutation.
 struct LinkUpdateReport {
-  std::uint64_t epoch = 0;           ///< engine epoch after the update
+  std::uint64_t epoch = 0;           ///< delay_epoch() after the update
   std::uint64_t nodes_affected = 0;  ///< Σ per-tree affected-region sizes
   std::uint64_t nodes_saved = 0;     ///< full-recompute visits avoided
-  std::size_t rows_refreshed = 0;    ///< device delay rows rewritten
+  /// Device delay rows rewritten: always 0, since delays are derived from
+  /// the backbone trees on every read.
+  std::size_t rows_refreshed = 0;
   double latency_ms = 0.0;           ///< the link's (previous) latency
 };
 
@@ -84,6 +89,12 @@ class DynamicCluster {
   /// equivalent — the live engine always scores true shortest-path delays
   /// (the ablation only distorts the one-shot solve), so it scores as
   /// kTopologyAware here.
+  ///
+  /// Both constructors throw std::invalid_argument, before solving, if a
+  /// device of the scenario has more than one link
+  /// (AttachParams::attach_count > 1): its delays would not factor through
+  /// one router. The oracle= spec in the request is served exactly either
+  /// way (see topology/oracle/config.hpp).
   DynamicCluster(const Scenario& scenario, const ConfigureRequest& request);
 
   // The incremental delay engine points into net_, so the cluster must stay
@@ -93,19 +104,18 @@ class DynamicCluster {
   DynamicCluster& operator=(const DynamicCluster&) = delete;
 
   /// Attaches a new device at its position (recycling a departed device's
-  /// slot + graph node when available) and assigns it to the cheapest
+  /// slot when available) and assigns it to the cheapest
   /// feasible server. The result carries the index, the server, and whether
   /// the overload fallback fired.
   JoinResult join(const workload::IotDevice& device);
 
-  /// Removes a device: frees its load, releases its graph node + access
-  /// link, and recycles its slot and delay row for future joins. Throws if
-  /// already inactive.
+  /// Removes a device: frees its load and parks its slot for future joins.
+  /// Throws if already inactive.
   void leave(std::size_t device_index);
 
   // ---- Mobility -------------------------------------------------------------
-  /// Radio handover: re-attaches an active device at `new_position` (fresh
-  /// access link + recomputed delay row, in place — the index is stable)
+  /// Radio handover: re-attaches an active device at `new_position` (new
+  /// nearest router and access latency, in place — the index is stable)
   /// and reassigns it to the cheapest feasible server.
   JoinResult move(std::size_t device_index, topo::Point2D new_position);
   /// Same handover but the device stays pinned to its current server — the
@@ -141,7 +151,7 @@ class DynamicCluster {
                                  BudgetLedger* ledger = nullptr);
 
   /// Cost of placing active device `i` on server `j` under the cluster's
-  /// CostModel: weight × cached shortest-path delay, inflated by the
+  /// CostModel: weight × shortest-path delay, inflated by the
   /// penalty factor when kDeadlinePenalized and the delay misses the
   /// device's deadline. The single scoring function shared by join/move
   /// placement, rebalance/repair and the re-optimizer.
@@ -164,23 +174,22 @@ class DynamicCluster {
   [[nodiscard]] std::uint64_t assignment_version() const noexcept {
     return assignment_version_;
   }
-  /// Served per-server delay row of an active device (ms), through the
-  /// configured DelayOracle. Exact under the default backend; within the
-  /// certified envelope for approximate ones (see topology/oracle/).
-  [[nodiscard]] const std::vector<double>& delay_row(
-      std::size_t device_index) const {
-    return oracle_->row(device_index);
+  /// Exact shortest-path delay (ms) from active device `i` to server `j`:
+  /// bit-identical to Dijkstra over the full graph, devices included.
+  [[nodiscard]] double delay_ms(std::size_t device_index,
+                                std::size_t server) const {
+    return store_.delay_ms(device_index, server);
   }
-  /// Engine epoch at which the device's row was last rewritten — newer
-  /// epochs mark rows dirtied by link churn, which the re-optimizer scans
-  /// first.
+  /// delay_epoch() at which the device's delays last changed (its own
+  /// attach, or link churn moving its router's distances) — the
+  /// re-optimizer scans devices newer than its last pass first.
   [[nodiscard]] std::uint64_t delay_row_epoch(std::size_t device_index) const {
-    return oracle_->row_epoch(device_index);
+    return store_.row_epoch(device_index);
   }
-  /// The live delay oracle serving this cluster's rows (backend selected by
-  /// ConfigureRequest::oracle; introspection for ORACLE_STATS and benches).
-  [[nodiscard]] const topo::oracle::DelayOracle& delay_oracle() const {
-    return *oracle_;
+  /// The store serving this cluster's delays (introspection for
+  /// ORACLE_STATS and benches).
+  [[nodiscard]] const topo::oracle::FactoredDelayStore& delay_oracle() const {
+    return store_;
   }
   [[nodiscard]] const workload::IotDevice& device(
       std::size_t device_index) const {
@@ -210,14 +219,14 @@ class DynamicCluster {
 
   // ---- Backbone link churn --------------------------------------------------
   // In-place router–router link mutations. Each one repairs every server's
-  // shortest-path tree incrementally (cost O(affected region), not a full
-  // recompute) and rewrites only the delay rows of devices whose distances
-  // actually moved. Assignments are NOT changed — call rebalance() to react.
+  // backbone tree incrementally (cost O(affected region), not a full
+  // recompute) and rewrites nothing per device. Assignments are NOT
+  // changed — call rebalance() to react.
   // Throws std::invalid_argument if an endpoint is not a router or the link
   // precondition fails (fail: link must exist; restore: must be failed).
 
   /// Takes the u–v backbone link out of service. Devices may become
-  /// unreachable from some servers (their row entries go infinite).
+  /// unreachable from some servers (their delays go infinite).
   LinkUpdateReport fail_link(topo::NodeId u, topo::NodeId v);
   /// Returns a previously failed backbone link to service.
   LinkUpdateReport restore_link(topo::NodeId u, topo::NodeId v);
@@ -226,7 +235,8 @@ class DynamicCluster {
   LinkUpdateReport set_link_latency(topo::NodeId u, topo::NodeId v,
                                     double latency_ms);
 
-  /// The live topology (failed_links lists currently failed backbone links).
+  /// The live backbone: routers and servers with their scenario node ids
+  /// (failed_links lists currently failed links). Devices are not in it.
   [[nodiscard]] const topo::NetworkTopology& network() const noexcept {
     return net_;
   }
@@ -235,22 +245,10 @@ class DynamicCluster {
   [[nodiscard]] const topo::incr::EngineStats& link_stats() const noexcept {
     return engine_.stats();
   }
-  /// Bumps on every distance-relevant topology change.
+  /// Bumps on every delay-relevant change: device attach/detach and link
+  /// updates.
   [[nodiscard]] std::uint64_t delay_epoch() const noexcept {
-    return engine_.epoch();
-  }
-  [[nodiscard]] std::uint64_t delay_rows_refreshed() const noexcept {
-    return oracle_->rows_refreshed();
-  }
-  [[nodiscard]] std::uint64_t delay_rows_saved() const noexcept {
-    return oracle_->rows_saved();
-  }
-  /// Digest of the served delay view; distinguishes every epoch, so stale
-  /// consumers detect reconfigurations they slept through even when a
-  /// fail/restore pair returned the values to their start state. Matches
-  /// DelayMatrixCache::fingerprint() bit-for-bit under the default backend.
-  [[nodiscard]] std::uint64_t delay_fingerprint() const {
-    return oracle_->fingerprint();
+    return store_.epoch();
   }
 
   // ---- Introspection ------------------------------------------------------
@@ -264,8 +262,10 @@ class DynamicCluster {
   }
   /// Server of an active device.
   [[nodiscard]] std::size_t server_of(std::size_t device_index) const;
-  /// Mean shortest-path delay over active devices (ms).
-  [[nodiscard]] double avg_delay_ms() const noexcept;
+  /// Mean shortest-path delay over active devices (ms), from the store's
+  /// per-(router, server) tally: O(backbone nodes × servers), independent
+  /// of the device count.
+  [[nodiscard]] double avg_delay_ms() const;
   [[nodiscard]] double max_utilization() const noexcept;
   [[nodiscard]] bool feasible() const noexcept;
   [[nodiscard]] const std::vector<double>& loads() const noexcept {
@@ -294,24 +294,26 @@ class DynamicCluster {
 
   /// Deep cross-subsystem validation, reported through the contracts
   /// failure handler (src/util/contracts.hpp). Always checked:
-  ///  - slot accounting: devices/assignment/delay rows stay parallel;
+  ///  - slot accounting: devices/assignment/store slots stay parallel;
   ///    every slot is either active or parked on the free list exactly
   ///    once; active_ matches;
   ///  - load accounting: loads_[j] equals the demand sum of j's residents,
   ///    and assignments point at real servers;
-  ///  - slot<->row binding: an active slot's delay row is bound to its
-  ///    graph node, a free slot's row is unbound;
-  ///  - node recycling: live graph nodes == routers + servers + active
-  ///    devices (a leak here is what bench_m2's gates watch);
+  ///  - slot attachment: an active slot sits on a router, a free slot on
+  ///    none;
+  ///  - the delay tally: the store's per-(router, server) counts and access
+  ///    sum equal a recount from the assignment, and avg_delay_ms() agrees
+  ///    with a per-device sum to 1e-9 relative;
+  ///  - the graph holds only routers and servers;
   ///  - the underlying NetworkTopology, IncrementalDelayEngine and
-  ///    DelayOracle invariants (see their check_invariants()).
+  ///    FactoredDelayStore invariants (see their check_invariants()).
   /// Cold path; meant for tests and sampled bench epochs.
   void check_invariants(const InvariantOptions& options) const;
   void check_invariants() const { check_invariants(InvariantOptions()); }
 
   // Churn bookkeeping (leak regression gates key off these: slot and node
   // counts must track peak population, never cumulative arrivals).
-  /// Device slots ever allocated (== delay rows held).
+  /// Device slots ever allocated.
   [[nodiscard]] std::size_t device_slot_count() const noexcept {
     return devices_.size();
   }
@@ -319,11 +321,9 @@ class DynamicCluster {
   [[nodiscard]] std::size_t free_slot_count() const noexcept {
     return free_slots_.size();
   }
+  /// Backbone nodes (routers + servers); devices add none.
   [[nodiscard]] std::size_t graph_node_count() const noexcept {
     return net_.graph.node_count();
-  }
-  [[nodiscard]] std::size_t live_graph_node_count() const noexcept {
-    return net_.graph.live_node_count();
   }
 
  private:
@@ -334,24 +334,17 @@ class DynamicCluster {
     bool feasible;  ///< false => overload fallback (least-utilized healthy)
   };
 
-  /// (Re)binds `slot`'s delay row to its graph node; the oracle (re)fills
-  /// it from the engine's per-server trees (eagerly or lazily, per backend).
-  void refresh_delay_row(std::size_t slot);
   /// Throws std::invalid_argument unless u and v are router nodes.
   void require_backbone(topo::NodeId u, topo::NodeId v) const;
-  /// Refreshes the oracle and packages the per-update engine deltas.
+  /// Stamps the moved routers and packages the per-update engine deltas.
   LinkUpdateReport finish_link_update(const topo::incr::EngineStats& before,
                                       double latency_ms);
-  /// Discards dirty notifications caused by device attach/detach: a device
-  /// is a single-access-link leaf, so only its own distances move, and its
-  /// row is (re)bound or unbound explicitly by the caller.
-  void absorb_device_churn();
-  /// Acquires a graph node at `device`'s position (recycled when possible),
-  /// wires the access link to the nearest router, and installs the device
-  /// into `slot` with a fresh delay row. No assignment yet.
+  /// Installs `device` into unassigned `slot` behind its nearest router
+  /// (access latency from the cluster's LinkDelayModel). No assignment yet.
   void attach_device(std::size_t slot, const workload::IotDevice& device);
-  /// Releases `slot`'s graph node + access link back to the free list.
-  void detach_device(std::size_t slot);
+  /// Points `slot` at `server` (gap::kUnassigned clears it), keeping the
+  /// store's delay tally in step. Loads and versions are the caller's.
+  void set_assignment(std::size_t slot, std::int32_t server);
   /// Cheapest feasible healthy server, else the least-utilized healthy one
   /// (feasible == false). Throws std::logic_error if every server is
   /// failed — callers must be told rather than silently given server 0.
@@ -360,15 +353,13 @@ class DynamicCluster {
   /// Assigns `slot` per cheapest_feasible_server and applies the load.
   JoinResult place_device(std::size_t slot);
 
-  topo::NetworkTopology net_;   // bounded by peak population (node recycling)
-  // Per-server shortest-path trees + versioned delay rows over net_; all
-  // topology mutations route through engine_ so the trees stay exact.
-  // Declared right after net_ (initialization order matters).
+  topo::NetworkTopology net_;  // the backbone: routers + servers only
+  // Per-server shortest-path trees over net_; all link mutations route
+  // through engine_ so the trees stay exact. Declared right after net_
+  // (initialization order matters).
   topo::incr::IncrementalDelayEngine engine_;
-  // Serves the per-device delay rows (row i == device slot i); backend
-  // chosen by ConfigureRequest::oracle (default: exact, bit-identical to
-  // the pre-oracle DelayMatrixCache).
-  std::unique_ptr<topo::oracle::DelayOracle> oracle_;
+  // Device slot i == store slot i: router, access latency, delay tally.
+  topo::oracle::FactoredDelayStore store_;
   topo::LinkDelayModel delay_model_;
   std::vector<topo::NodeId> router_nodes_;
   std::vector<topo::Point2D> router_positions_;
@@ -378,7 +369,6 @@ class DynamicCluster {
   std::vector<workload::IotDevice> devices_;
   gap::Assignment assignment_;
   std::vector<std::size_t> free_slots_;  // recycled LIFO
-  std::vector<topo::NodeId> churn_scratch_;
 
   std::vector<double> capacities_;
   std::vector<double> loads_;

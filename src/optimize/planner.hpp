@@ -8,13 +8,14 @@
 // emits a MovePlan for DynamicCluster::apply_move_plan() to validate and
 // apply under the cluster lock.
 //
-// Incrementality: the planner rides the IncrementalDelayEngine. Device
-// delay rows carry the engine epoch they were last rewritten at
-// (DynamicCluster::delay_row_epoch); rows dirtied since the planner's last
-// pass — i.e. devices whose delays actually moved under link churn — are
-// scanned first, and the remainder of the scan budget round-robins through
-// the rest of the population across passes. Move evaluation itself is O(1)
-// per candidate server: a cached-row read, never a Dijkstra.
+// Incrementality: the planner rides the IncrementalDelayEngine. Each device
+// carries the delay epoch its delays last changed at
+// (DynamicCluster::delay_row_epoch: its own attach, or link churn moving
+// its router's distances); devices changed since the planner's last pass
+// are scanned first, and the remainder of the scan budget round-robins
+// through the rest of the population across passes. Move evaluation itself
+// is O(1) per candidate server: one tree read plus the access latency,
+// never a Dijkstra.
 //
 // The planner only READS the cluster. All mutation goes through
 // apply_move_plan() (lint rule R6 bans direct mutator calls from this
@@ -43,8 +44,8 @@ struct PlannerOptions {
   double min_gain = 1e-6;           ///< ignore improvements below this
 };
 
-/// Cross-pass planner memory: the round-robin scan cursor, the engine epoch
-/// up to which rows have been considered (dirty-row prioritization), and
+/// Cross-pass planner memory: the round-robin scan cursor, the delay epoch
+/// up to which devices have been considered (changed-first scanning), and
 /// the deterministic swap-sampling stream.
 struct PlannerState {
   explicit PlannerState(std::uint64_t seed = 0x0500B1ull) : rng(seed) {}

@@ -12,7 +12,6 @@
 #include "core/scenario.hpp"
 #include "topology/failures.hpp"
 #include "topology/oracle/config.hpp"
-#include "topology/oracle/oracle.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 
@@ -331,18 +330,11 @@ void Engine::drain_session(Shard& shard,
                                "expired after queueing"));
         continue;
       }
+      // Past this point the request runs to completion and its result is
+      // answered even if the deadline passes meanwhile: the mutation
+      // stands, so an error would invite a retry that repeats it.
       std::string line = apply(*session, event.request);
       const Clock::time_point finished = Clock::now();
-      if (deadline_expired(event.deadline, finished)) {
-        // The deadline passed while the event executed. The cluster
-        // mutation is kept (it ran to completion), but the client is
-        // answered — and the ledger counts — consistently with the
-        // deadline contract: this is rejected_deadline, never completed.
-        ++expired;
-        event.respond(err_line(ErrorCode::kDeadlineExceeded,
-                               "deadline passed during execution"));
-        continue;
-      }
       const bool ok = line.starts_with("OK");
       (ok ? completed : failed) += 1;
       latencies.push_back(
@@ -363,12 +355,10 @@ void Engine::drain_session(Shard& shard,
       snapshot.max_utilization = cluster.max_utilization();
       snapshot.feasible = cluster.feasible();
       const topo::incr::EngineStats& link_stats = cluster.link_stats();
-      snapshot.delay_epoch = link_stats.epoch;
+      snapshot.delay_epoch = cluster.delay_epoch();
       snapshot.link_updates = link_stats.link_updates;
       snapshot.link_nodes_affected = link_stats.nodes_affected;
       snapshot.link_nodes_saved = link_stats.nodes_saved;
-      snapshot.delay_rows_refreshed = cluster.delay_rows_refreshed();
-      snapshot.delay_rows_saved = cluster.delay_rows_saved();
     }
     if (session->reoptimizer) {
       snapshot.reopt_running = session->reoptimizer->running();
@@ -606,26 +596,20 @@ std::string Engine::apply(Session& session, const Request& request) {
             .str();
       }
       case Verb::kOracleStats: {
-        const topo::oracle::DelayOracle& oracle = cluster.delay_oracle();
-        const topo::oracle::OracleStats stats = oracle.stats();
-        std::string hist;
-        for (std::size_t i = 0; i < stats.width_hist.size(); ++i) {
-          if (i > 0) hist += ':';
-          hist += std::to_string(stats.width_hist[i]);
-        }
+        const topo::oracle::FactoredDelayStore& store = cluster.delay_oracle();
+        const topo::oracle::OracleStats stats = store.stats();
         return OkLine()
             .field("session", session.name)
-            .field("backend", oracle.name())
-            .field("rows", oracle.row_count())
-            .field("epoch", static_cast<std::size_t>(oracle.epoch()))
+            .field("backend", store.name())
+            .field("rows", store.slot_count())
+            .field("epoch", static_cast<std::size_t>(store.epoch()))
             .field("queries", static_cast<std::size_t>(stats.queries))
             .field("bound_hits", static_cast<std::size_t>(stats.bound_hits))
             .field("exact_fallbacks",
                    static_cast<std::size_t>(stats.exact_fallbacks))
             .field("row_fills", static_cast<std::size_t>(stats.row_fills))
             .field("rebuilds", static_cast<std::size_t>(stats.rebuilds))
-            .field("resident_bytes", oracle.resident_bytes())
-            .field("width_hist", hist)
+            .field("resident_bytes", store.resident_bytes())
             .str();
       }
       case Verb::kLinks: {
@@ -755,10 +739,6 @@ std::string Engine::stats_line(const Request& request) const {
              static_cast<std::size_t>(s.link_nodes_affected))
       .field("link_nodes_saved",
              static_cast<std::size_t>(s.link_nodes_saved))
-      .field("delay_rows_refreshed",
-             static_cast<std::size_t>(s.delay_rows_refreshed))
-      .field("delay_rows_saved",
-             static_cast<std::size_t>(s.delay_rows_saved))
       .field("reopt_running", s.reopt_running)
       .field("reopt_passes", static_cast<std::size_t>(s.reopt_passes))
       .field("reopt_proposed", static_cast<std::size_t>(s.reopt_proposed))

@@ -29,14 +29,13 @@
 //    for one task dispatch and one metrics flush instead of N. Events on
 //    one session always execute sequentially (single drainer per session);
 //    different sessions execute concurrently on their shards' pools.
-//  - Deadlines are re-checked when an event is dequeued for execution: a
+//  - Deadlines are checked when an event is dequeued for execution: a
 //    request whose deadline has passed at dequeue time (boundary included
 //    — deadline exactly at dequeue counts as expired) answers
-//    ERR DEADLINE_EXCEEDED without touching the cluster, and a request
-//    that finishes executing past its deadline also answers
-//    ERR DEADLINE_EXCEEDED (its cluster mutation is kept — it ran — but
-//    the client contract stays deadline-consistent) and is counted
-//    rejected_deadline, never completed.
+//    ERR DEADLINE_EXCEEDED without touching the cluster and is counted
+//    rejected_deadline. A request that starts in time runs to completion
+//    and answers its result, even if its deadline passes meanwhile: its
+//    mutation stands, and an error would invite a retry that repeats it.
 //  - STATS bypasses admission entirely and answers synchronously from a
 //    snapshot taken under a single shard lock, so every STATS line is a
 //    coherent cut of that shard's ledger: the accounting identity
@@ -105,7 +104,7 @@ struct EngineCounters {
   std::uint64_t completed = 0;          ///< executed, responded OK
   std::uint64_t failed = 0;             ///< executed, responded ERR
   std::uint64_t rejected_overload = 0;  ///< bounced at admission
-  /// Expired in the queue or finished executing past the deadline.
+  /// Expired in the queue before execution started.
   std::uint64_t rejected_deadline = 0;
   std::uint64_t rejected_shutdown = 0;  ///< bounced while draining
   /// Mutation for a session that does not exist; never admitted, so it is
@@ -159,7 +158,7 @@ class Engine {
   }
 
   /// Deadline boundary predicate: a deadline exactly at `now` counts as
-  /// expired. Used at dequeue time and again when execution finishes.
+  /// expired. Used at dequeue time.
   [[nodiscard]] static constexpr bool deadline_expired(
       Clock::time_point deadline, Clock::time_point now) noexcept {
     return now >= deadline;
@@ -203,8 +202,6 @@ class Engine {
     std::uint64_t link_updates = 0;
     std::uint64_t link_nodes_affected = 0;
     std::uint64_t link_nodes_saved = 0;
-    std::uint64_t delay_rows_refreshed = 0;
-    std::uint64_t delay_rows_saved = 0;
     // Background re-optimizer ledger (REOPT_START/REOPT_STOP); sampled at
     // the batch flush like everything else, so STATS stays lock-coherent.
     bool reopt_running = false;
@@ -245,9 +242,9 @@ class Engine {
     // apply_move_plan(), by the session's background re-optimizer. Both
     // serialize on cluster_mutex: the drain task locks it around each
     // batch's apply()s, the optimizer thread only ever try_locks it (the
-    // serving path always wins; see opt::Reoptimizer). The oracle/delay
-    // cache inside the cluster have no locks of their own — this mutex is
-    // their external serialization point.
+    // serving path always wins; see opt::Reoptimizer). The delay store
+    // inside the cluster has no lock of its own — this mutex is its
+    // external serialization point.
     Mutex cluster_mutex;
     std::unique_ptr<DynamicCluster> cluster TACC_GUARDED_BY(cluster_mutex)
         TACC_PT_GUARDED_BY(cluster_mutex);

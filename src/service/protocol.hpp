@@ -3,9 +3,10 @@
 // One request per line, one response line per request:
 //
 //   CONFIGURE <session> <iot> <edge> [seed=N] [algo=NAME] [preset=NAME]
-//             [oracle=SPEC]            (delay-oracle backend, e.g.
-//                                       "exact" or "landmark,k=8,eps=0.1" —
-//                                       see topology/oracle/config.hpp)
+//             [oracle=SPEC]            (e.g. "exact" or
+//                                       "landmark,k=8,eps=0.1"; every spec
+//                                       is served exactly — see
+//                                       topology/oracle/config.hpp)
 //   JOIN      <session> <x> <y> [demand=D] [rate=HZ]
 //   MOVE      <session> <device> <x> <y> [pinned=0|1]
 //   LEAVE     <session> <device>
@@ -22,9 +23,9 @@
 //                                         the daemon's --reopt-* defaults)
 //   REOPT_STOP  <session>                (stop + detach; idempotent)
 //   REOPT_STATS <session>                (live optimizer ledger)
-//   ORACLE_STATS <session>               (delay-oracle counters: queries,
-//                                         bound hits, exact fallbacks,
-//                                         width histogram, bytes resident)
+//   ORACLE_STATS <session>               (delay-store counters: queries —
+//                                         one per delay read —, bytes
+//                                         resident; envelope counters read 0)
 //   SLEEP     <session> <ms>               (diagnostic: occupies the session)
 //   STATS     [<session>] [shards=0|1]   (shards=1: per-shard breakdown)
 //   PING

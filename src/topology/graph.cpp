@@ -10,44 +10,7 @@ namespace tacc::topo {
 
 NodeId Graph::add_node() {
   adjacency_.emplace_back();
-  released_.push_back(false);
   return static_cast<NodeId>(adjacency_.size() - 1);
-}
-
-NodeId Graph::acquire_node() {
-  if (free_list_.empty()) return add_node();
-  const NodeId node = free_list_.back();
-  free_list_.pop_back();
-  released_[node] = false;
-  return node;
-}
-
-void Graph::release_node(NodeId node) {
-  if (node >= node_count()) {
-    throw std::out_of_range("Graph::release_node: node id out of range");
-  }
-  if (released_[node]) {
-    throw std::invalid_argument("Graph::release_node: already released");
-  }
-  // Each entry in our list is one undirected edge; drop its mirror entry at
-  // the other endpoint (one mirror per entry, so parallel edges stay paired).
-  for (const Adjacency& adj : adjacency_[node]) {
-    auto& list = adjacency_[adj.to];
-    bool erased = false;
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      if (it->to == node) {
-        list.erase(it);
-        erased = true;
-        break;
-      }
-    }
-    TACC_ASSERT(erased, "released node's edge had no mirror entry");
-    --edges_;
-  }
-  adjacency_[node].clear();
-  adjacency_[node].shrink_to_fit();
-  released_[node] = true;
-  free_list_.push_back(node);
 }
 
 void Graph::add_edge(NodeId u, NodeId v, EdgeProps props) {
@@ -56,9 +19,6 @@ void Graph::add_edge(NodeId u, NodeId v, EdgeProps props) {
   }
   if (u == v) {
     throw std::invalid_argument("Graph::add_edge: self-loops not supported");
-  }
-  if (released_[u] || released_[v]) {
-    throw std::invalid_argument("Graph::add_edge: endpoint is released");
   }
   if (!(props.latency_ms > 0.0)) {
     throw std::invalid_argument("Graph::add_edge: latency must be positive");
@@ -88,7 +48,7 @@ bool Graph::set_edge_latency(NodeId u, NodeId v, double latency_ms) {
   }
   if (u >= node_count() || v >= node_count()) return false;
   // Mirror entries are kept in matching insertion order (add_edge appends to
-  // both lists; remove_edge/release_node erase the first match from both), so
+  // both lists; remove_edge erases the first match from both), so
   // rewriting the first match on each side updates one undirected edge.
   const auto rewrite_one = [this, latency_ms](NodeId from, NodeId to) {
     for (Adjacency& adj : adjacency_[from]) {
@@ -123,33 +83,6 @@ bool Graph::remove_edge(NodeId u, NodeId v) {
 }
 
 void Graph::check_invariants() const {
-  TACC_CHECK_INVARIANT(released_.size() == adjacency_.size(),
-                       "released bitmap must cover every node");
-  TACC_CHECK_INVARIANT(free_list_.size() <= adjacency_.size(),
-                       "free list larger than the node table");
-
-  // Free list vs released bitmap: same set, no duplicates, empty adjacency.
-  std::vector<bool> on_free_list(adjacency_.size(), false);
-  for (const NodeId node : free_list_) {
-    TACC_CHECK_INVARIANT(node < adjacency_.size(),
-                         "free-list id out of range: " + std::to_string(node));
-    TACC_CHECK_INVARIANT(!on_free_list[node],
-                         "node on the free list twice: " +
-                             std::to_string(node));
-    on_free_list[node] = true;
-    TACC_CHECK_INVARIANT(released_[node],
-                         "free-list node not marked released: " +
-                             std::to_string(node));
-    TACC_CHECK_INVARIANT(adjacency_[node].empty(),
-                         "released node still has edges: " +
-                             std::to_string(node));
-  }
-  for (NodeId node = 0; node < adjacency_.size(); ++node) {
-    TACC_CHECK_INVARIANT(released_[node] == on_free_list[node],
-                         "released node missing from the free list: " +
-                             std::to_string(node));
-  }
-
   // Adjacency symmetry: mirror entries are kept in matching insertion order
   // (see set_edge_latency), so the k-th u->v entry must pair with the k-th
   // v->u entry, carrying identical properties.
@@ -162,8 +95,6 @@ void Graph::check_invariants() const {
       TACC_CHECK_INVARIANT(v < adjacency_.size(),
                            "edge endpoint out of range");
       TACC_CHECK_INVARIANT(v != u, "self-loop at node " + std::to_string(u));
-      TACC_CHECK_INVARIANT(!released_[u] && !released_[v],
-                           "edge touches a released node");
       TACC_CHECK_INVARIANT(adj.props.latency_ms > 0.0,
                            "non-positive edge latency");
       // Rank of this u->v entry among u's edges to v.

@@ -3,13 +3,6 @@
 // Nodes are dense indices [0, node_count). Each undirected edge is stored
 // once per endpoint; latency is the routing metric (milliseconds), bandwidth
 // feeds the discrete-event simulator's transmission-delay model.
-//
-// Nodes can be released back to a free list (release_node) and reused
-// (acquire_node), so churny workloads — IoT devices joining, moving and
-// leaving a deployed network — keep the node table at peak-population size
-// instead of growing without bound. Released ids stay valid indices (their
-// adjacency is empty and algorithms see them as isolated); ids are recycled
-// LIFO.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +27,7 @@ struct Adjacency {
 class Graph {
  public:
   Graph() = default;
-  explicit Graph(std::size_t node_count)
-      : adjacency_(node_count), released_(node_count, false) {}
+  explicit Graph(std::size_t node_count) : adjacency_(node_count) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return adjacency_.size();
@@ -45,30 +37,8 @@ class Graph {
   /// Appends a new isolated node and returns its id.
   NodeId add_node();
 
-  /// Returns a ready-to-use node id: the most recently released node if any
-  /// (LIFO), otherwise a freshly appended one.
-  NodeId acquire_node();
-
-  /// Removes every edge incident to `node` and pushes its id onto the free
-  /// list for acquire_node(). Throws std::out_of_range for bad ids and
-  /// std::invalid_argument if the node is already released.
-  void release_node(NodeId node);
-
-  [[nodiscard]] bool node_released(NodeId node) const {
-    return released_.at(node);
-  }
-  /// Nodes currently on the free list.
-  [[nodiscard]] std::size_t released_node_count() const noexcept {
-    return free_list_.size();
-  }
-  /// Nodes in service (node_count() minus the free list).
-  [[nodiscard]] std::size_t live_node_count() const noexcept {
-    return adjacency_.size() - free_list_.size();
-  }
-
   /// Adds an undirected edge u–v. Throws std::out_of_range for bad ids and
-  /// std::invalid_argument for self-loops, non-positive latency, or
-  /// released endpoints.
+  /// std::invalid_argument for self-loops or non-positive latency.
   void add_edge(NodeId u, NodeId v, EdgeProps props);
 
   [[nodiscard]] std::span<const Adjacency> neighbors(NodeId node) const {
@@ -100,21 +70,15 @@ class Graph {
 
   /// Deep structural validation, reported through the contracts failure
   /// handler (src/util/contracts.hpp):
-  ///  - free list / live nodes are disjoint, with consistent bookkeeping
-  ///    (every free-list id is marked released exactly once, released nodes
-  ///    have empty adjacency);
   ///  - adjacency is symmetric: the k-th u->v entry mirrors the k-th v->u
   ///    entry with identical properties, and edge_count() matches;
-  ///  - no self-loops, no edges touching released nodes, all latencies
-  ///    positive.
+  ///  - no self-loops, all latencies positive.
   /// Cold path (O(V + E·deg)); meant for tests and sampled bench epochs.
   void check_invariants() const;
 
  private:
   friend struct GraphTestPeer;  ///< corruption hook for invariant tests
   std::vector<std::vector<Adjacency>> adjacency_;
-  std::vector<bool> released_;      ///< per node: on the free list?
-  std::vector<NodeId> free_list_;   ///< released ids, reused LIFO
   std::size_t edges_ = 0;
 };
 

@@ -29,7 +29,7 @@ namespace tacc::topo::incr {
 
 /// What one update touched. `nodes_affected` counts nodes examined for
 /// change (orphaned or improved); `changed` lists the nodes whose DISTANCE
-/// actually changed — the dirty set downstream caches must rewrite.
+/// actually changed — the engine's dirty set for downstream consumers.
 struct SsspUpdateStats {
   std::size_t nodes_affected = 0;
   std::size_t nodes_changed = 0;

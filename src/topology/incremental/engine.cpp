@@ -18,20 +18,13 @@ IncrementalDelayEngine::IncrementalDelayEngine(NetworkTopology& net,
   in_dirty_.assign(net.graph.node_count(), 0);
 }
 
-void IncrementalDelayEngine::sync_node_count() {
-  const std::size_t n = net_->graph.node_count();
-  if (n > in_dirty_.size()) in_dirty_.resize(n, 0);
-  for (DynamicSsspTree& tree : trees_) tree.ensure_node_count(n);
-}
-
 void IncrementalDelayEngine::apply_to_trees(int kind, NodeId u, NodeId v,
                                             double old_ms, double new_ms) {
-  sync_node_count();
   // A full recompute would settle every live node once per tree; the
   // difference against what the incremental repair actually touched is the
   // work saved — the number bench_m4_linkchurn's speedup gate measures.
   const std::uint64_t full_cost =
-      static_cast<std::uint64_t>(trees_.size()) * net_->graph.live_node_count();
+      static_cast<std::uint64_t>(trees_.size()) * net_->graph.node_count();
   std::uint64_t affected = 0;
   changed_scratch_.clear();
   for (DynamicSsspTree& tree : trees_) {
@@ -60,18 +53,6 @@ void IncrementalDelayEngine::apply_to_trees(int kind, NodeId u, NodeId v,
   ++stats_.epoch;
   stats_.nodes_affected += affected;
   stats_.nodes_saved += full_cost > affected ? full_cost - affected : 0;
-  for (MutationListener* listener : listeners_) {
-    listener->on_mutation(kind, u, v, old_ms, new_ms);
-  }
-}
-
-void IncrementalDelayEngine::add_listener(MutationListener* listener) {
-  if (listener != nullptr) listeners_.push_back(listener);
-}
-
-void IncrementalDelayEngine::remove_listener(
-    MutationListener* listener) noexcept {
-  std::erase(listeners_, listener);
 }
 
 EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
@@ -96,34 +77,6 @@ EdgeProps IncrementalDelayEngine::set_link_latency(NodeId u, NodeId v,
   return previous;
 }
 
-NodeId IncrementalDelayEngine::acquire_node(Point2D pos, NodeKind kind) {
-  const NodeId node = net_->acquire_node(pos, kind);
-  sync_node_count();
-  return node;
-}
-
-void IncrementalDelayEngine::add_link(NodeId u, NodeId v, EdgeProps props) {
-  net_->graph.add_edge(u, v, props);
-  apply_to_trees(0, u, v, kUnreachable, props.latency_ms);
-}
-
-bool IncrementalDelayEngine::remove_link(NodeId u, NodeId v) {
-  if (!net_->graph.remove_edge(u, v)) return false;
-  apply_to_trees(1, u, v, kUnreachable, kUnreachable);
-  return true;
-}
-
-void IncrementalDelayEngine::release_node(NodeId node) {
-  // Peel the incident edges one at a time so each tree repair sees a graph
-  // consistent with its input; the node ends isolated and release_node()
-  // then only recycles the id.
-  while (!net_->graph.neighbors(node).empty()) {
-    const NodeId other = net_->graph.neighbors(node).front().to;
-    remove_link(node, other);
-  }
-  net_->release_node(node);
-}
-
 std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
   const std::size_t count = dirty_.size();
   for (const NodeId node : dirty_) in_dirty_[node] = 0;
@@ -137,15 +90,15 @@ void IncrementalDelayEngine::rebuild() {
   runtime::parallel_for(net_->edge_count(), threads_, [&](std::size_t j) {
     trees_[j] = DynamicSsspTree(net_->graph, net_->edge_nodes[j]);
   });
-  sync_node_count();
+  in_dirty_.resize(net_->graph.node_count(), 0);
   ++stats_.epoch;
+  ++stats_.rebuilds;
   for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
     if (in_dirty_[node] == 0) {
       in_dirty_[node] = 1;
       dirty_.push_back(node);
     }
   }
-  for (MutationListener* listener : listeners_) listener->on_rebuild();
 }
 
 void IncrementalDelayEngine::check_invariants(

@@ -28,18 +28,6 @@ namespace {
 
 }  // namespace
 
-NodeId NetworkTopology::acquire_node(Point2D pos, NodeKind kind) {
-  const NodeId node = graph.acquire_node();
-  if (node == positions.size()) {
-    positions.push_back(pos);
-    kinds.push_back(kind);
-  } else {
-    positions[node] = pos;
-    kinds[node] = kind;
-  }
-  return node;
-}
-
 namespace {
 
 [[nodiscard]] bool same_link(const FailedLink& link, NodeId u,
@@ -108,17 +96,12 @@ void NetworkTopology::check_invariants() const {
   for (const NodeId node : edge_nodes) {
     TACC_CHECK_INVARIANT(node < graph.node_count(),
                          "edge server node out of range");
-    TACC_CHECK_INVARIANT(!graph.node_released(node),
-                         "edge server node is on the free list");
     TACC_CHECK_INVARIANT(kinds[node] == NodeKind::kEdgeServer,
                          "edge server node has the wrong kind");
   }
   for (const NodeId node : iot_nodes) {
-    if (node == kInvalidNode) continue;  // detached device slot
     TACC_CHECK_INVARIANT(node < graph.node_count(),
                          "IoT device node out of range");
-    TACC_CHECK_INVARIANT(!graph.node_released(node),
-                         "IoT device node is on the free list");
     TACC_CHECK_INVARIANT(kinds[node] == NodeKind::kIotDevice,
                          "IoT device node has the wrong kind");
   }
@@ -196,6 +179,44 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
     net.iot_nodes.push_back(attach_device(pos, NodeKind::kIotDevice));
   }
   return net;
+}
+
+NetworkTopology backbone_of(const NetworkTopology& net) {
+  const std::size_t nodes = net.graph.node_count() - net.iot_count();
+  for (const NodeId device : net.iot_nodes) {
+    const auto links = net.graph.neighbors(device);
+    if (device < nodes || links.size() != 1 || links.front().to >= nodes) {
+      throw std::invalid_argument(
+          "backbone_of: device node " + std::to_string(device) +
+          " is not a leaf with one link into the backbone");
+    }
+  }
+  for (const NodeId server : net.edge_nodes) {
+    if (server >= nodes) {
+      throw std::invalid_argument("backbone_of: server node " +
+                                  std::to_string(server) +
+                                  " lies among the devices");
+    }
+  }
+  NetworkTopology backbone;
+  backbone.graph = Graph(nodes);
+  for (NodeId u = 0; u < nodes; ++u) {
+    for (const Adjacency& adj : net.graph.neighbors(u)) {
+      if (adj.to > u && adj.to < nodes) {
+        backbone.graph.add_edge(u, adj.to, adj.props);
+      }
+    }
+  }
+  backbone.positions.assign(net.positions.begin(),
+                            net.positions.begin() +
+                                static_cast<std::ptrdiff_t>(nodes));
+  backbone.kinds.assign(net.kinds.begin(),
+                        net.kinds.begin() + static_cast<std::ptrdiff_t>(nodes));
+  backbone.edge_nodes = net.edge_nodes;
+  for (const FailedLink& link : net.failed_links) {
+    if (link.u < nodes && link.v < nodes) backbone.failed_links.push_back(link);
+  }
+  return backbone;
 }
 
 DelayMatrix compute_delay_matrix(const NetworkTopology& net,

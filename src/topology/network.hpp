@@ -85,13 +85,6 @@ struct NetworkTopology {
     return positions.at(edge_nodes.at(server));
   }
 
-  /// Acquires a graph node (recycling a released one when available) and
-  /// records its position/kind. Callers wire the access links themselves.
-  NodeId acquire_node(Point2D pos, NodeKind kind);
-  /// Drops `node`'s access links and returns it to the graph's free list;
-  /// its position/kind slots are reused by the next acquire_node().
-  void release_node(NodeId node) { graph.release_node(node); }
-
   // ---- In-place link mutation (live topology churn) -----------------------
   // These mutate THIS network instead of copying it. Callers that maintain
   // derived state (delay matrices, shortest-path trees) should route
@@ -115,8 +108,7 @@ struct NetworkTopology {
   /// Deep validation, reported through the contracts failure handler:
   ///  - graph.check_invariants();
   ///  - positions/kinds cover every graph node;
-  ///  - edge_nodes are live kEdgeServer nodes; iot_nodes are live
-  ///    kIotDevice nodes (kInvalidNode marks a detached device slot);
+  ///  - edge_nodes are kEdgeServer nodes; iot_nodes are kIotDevice nodes;
   ///  - failed-link bookkeeping matches the edge set: a recorded failed
   ///    link must NOT be present as a live edge (else restore_link would
   ///    double it), its endpoints must be valid, and its saved properties
@@ -137,6 +129,14 @@ struct AttachParams {
     const GeoGraph& infrastructure, std::span<const Point2D> iot_positions,
     std::span<const Point2D> edge_positions, const LinkDelayModel& delay,
     const AttachParams& attach = {});
+
+/// The routers and edge servers of `net` with the links among them: the
+/// first node_count - iot_count nodes, so backbone node ids equal their ids
+/// in `net`; iot_nodes is empty. Throws std::invalid_argument unless every
+/// device is a leaf with exactly one link into that backbone (as
+/// build_network makes them with attach_count == 1), because only then do
+/// a device's delays factor exactly through its one access router.
+[[nodiscard]] NetworkTopology backbone_of(const NetworkTopology& net);
 
 /// Shortest-path delay (ms) from every IoT device to every edge server.
 /// Runs one Dijkstra per edge server (m << n in practice).

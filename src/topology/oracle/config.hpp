@@ -1,9 +1,14 @@
-// Backend selection for the pluggable delay oracle (see oracle.hpp).
+// The oracle= spec: "exact" or "landmark,k=8,eps=0.2", as accepted by
+// `taccd --oracle=` and the CONFIGURE wire option.
+//
+// The grammar and its range checks are kept so existing clients and
+// scripts keep working, but every valid spec is served by the one exact
+// FactoredDelayStore (factored.hpp): an exact value lies inside every
+// envelope a landmark spec asks for. The parsed fields serve only
+// validation and the canonical round trip.
 //
 // Deliberately a light header — core/configurator.hpp embeds an OracleConfig
-// in every ConfigureRequest, and the service layer parses wire specs
-// ("exact", "landmark,k=8,eps=0.2") into one. The heavy machinery lives in
-// oracle.hpp / exact.hpp / landmark.hpp.
+// in every ConfigureRequest.
 #pragma once
 
 #include <cstddef>
@@ -14,32 +19,24 @@
 namespace tacc::topo::oracle {
 
 enum class OracleBackend : std::uint8_t {
-  kExact,     ///< IncrementalDelayEngine + DelayMatrixCache (bit-exact)
-  kLandmark,  ///< landmark/ALT envelopes with exact fallback
+  kExact,     ///< exact delays
+  kLandmark,  ///< delays within a certified (1+eps) envelope
 };
 
 [[nodiscard]] std::string_view to_string(OracleBackend backend) noexcept;
 
-/// Everything needed to build a DelayOracle (see make_oracle in oracle.hpp).
-/// Defaults reproduce today's behavior exactly: the exact backend with no
-/// row compression.
+/// A parsed oracle= spec. Defaults are the plain "exact" spec.
 struct OracleConfig {
   OracleBackend backend = OracleBackend::kExact;
-  /// Landmark count k (farthest-point sampled over router nodes).
+  /// Landmark count k (positive integer).
   std::size_t landmarks = 8;
-  /// Max certified relative error eps: a bound envelope [lo, hi] is served
-  /// only when hi <= lo * (1 + eps) (+ tiny absolute slack); otherwise the
-  /// entry falls back to an exact shortest-path value.
+  /// Largest relative error eps the client accepts, in [0, 10].
   double max_rel_error = 0.1;
-  /// Route rows through the QuantizedRowStore (LRU hot set of exact rows,
-  /// uint16-quantized cold rows, bounded residency). Opt-in: it trades
-  /// bit-exactness for bounded memory, so the default exact backend never
-  /// compresses.
+  /// Row compression requested (0 or 1).
   bool compress = false;
-  /// Hot (exact, uncompressed) rows kept by the row store; the cold
-  /// quantized tier holds kColdPerHot x this many rows.
+  /// Hot-row budget (>= 1).
   std::size_t hot_rows = 64;
-  /// Seed for the deterministic landmark selection.
+  /// Landmark selection seed.
   std::uint64_t seed = 1;
 
   friend bool operator==(const OracleConfig&, const OracleConfig&) = default;

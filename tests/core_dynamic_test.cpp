@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "topology/failures.hpp"
+#include "topology/shortest_paths.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "workload/provider.hpp"
+#include "workload/wire.hpp"
 
 namespace tacc {
 namespace {
@@ -93,24 +100,26 @@ TEST(DynamicCluster, DoubleLeaveThrows) {
 TEST(DynamicCluster, LeaveRecyclesSlotAndGraphNode) {
   DynamicCluster cluster = make_cluster(5);
   const std::size_t slots = cluster.device_slot_count();
+  // The graph holds routers and servers only: devices never add a node.
   const std::size_t nodes = cluster.graph_node_count();
+  EXPECT_EQ(nodes, Scenario::campus(60, 6, 5).network().graph.node_count() -
+                       60u);
   const std::size_t index = cluster.join(test_device(0.5, 0.5)).device_index;
   EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-  EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
+  EXPECT_EQ(cluster.graph_node_count(), nodes);
   cluster.leave(index);
   EXPECT_EQ(cluster.free_slot_count(), 1u);
-  EXPECT_EQ(cluster.live_graph_node_count(), nodes);
-  // The next join reuses the departed slot and node: no growth.
+  // The next join reuses the departed slot: no growth.
   const JoinResult joined = cluster.join(test_device(3.0, 3.0));
   EXPECT_EQ(joined.device_index, index);
   EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-  EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
+  EXPECT_EQ(cluster.graph_node_count(), nodes);
   EXPECT_EQ(cluster.free_slot_count(), 0u);
 }
 
 TEST(DynamicCluster, ChurnLeakRegression) {
-  // N join/leave/move cycles must leave slot, row, and node storage exactly
-  // at baseline — the old implementation leaked one node + access edge +
+  // N join/leave/move cycles must leave slot and node storage exactly at
+  // baseline — an earlier implementation leaked one node + access edge +
   // delay row per move.
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   DynamicCluster cluster = make_cluster(6);
@@ -129,13 +138,41 @@ TEST(DynamicCluster, ChurnLeakRegression) {
     }
     cluster.leave(index);
     EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-    EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
-    EXPECT_EQ(cluster.live_graph_node_count(), nodes);
+    EXPECT_EQ(cluster.graph_node_count(), nodes);
     if (cycle % 10 == 0) cluster.check_invariants();
   }
   EXPECT_EQ(cluster.free_slot_count(), 1u);
   EXPECT_EQ(cluster.active_count(), 60u);
   cluster.check_invariants();
+}
+
+TEST(DynamicCluster, DrainingEveryDeviceLeavesAnExactlyEmptyTally) {
+  // The access-latency sum is kept by += and -=; once the last device
+  // leaves it must read exactly 0, not the rounding left over from the
+  // joins and leaves that came before.
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  DynamicCluster cluster = make_cluster(8);
+  util::Rng rng(17);
+  for (int k = 0; k < 2000; ++k) {
+    (void)cluster.join(
+        test_device(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0), 0.01));
+  }
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < cluster.device_slot_count(); ++i) {
+    if (cluster.is_active(i)) active.push_back(i);
+  }
+  ASSERT_EQ(active.size(), 2060u);
+  // Leave in an order unrelated to the joins, so additions and
+  // subtractions do not cancel term by term.
+  rng.shuffle(active);
+  for (const std::size_t index : active) cluster.leave(index);
+  EXPECT_EQ(cluster.active_count(), 0u);
+  EXPECT_EQ(cluster.delay_oracle().assigned_access_sum(), 0.0);
+  EXPECT_EQ(cluster.avg_delay_ms(), 0.0);
+  EXPECT_NO_THROW(cluster.check_invariants());
+  // The tally restarts cleanly on the next join.
+  (void)cluster.join(test_device(1.0, 1.0));
+  EXPECT_NO_THROW(cluster.check_invariants());
 }
 
 TEST(DynamicCluster, RebalanceNeverIncreasesAvgDelay) {
@@ -192,7 +229,7 @@ TEST(DynamicCluster, ChurnStormStaysFeasible) {
 TEST(DynamicClusterLinks, FailRestoreRoundTripRestoresDelaysExactly) {
   DynamicCluster cluster = make_cluster(10);
   const double baseline = cluster.avg_delay_ms();
-  const std::uint64_t fp0 = cluster.delay_fingerprint();
+  const std::uint64_t epoch0 = cluster.delay_epoch();
   const auto links = topo::backbone_links(cluster.network());
   ASSERT_FALSE(links.empty());
 
@@ -213,8 +250,8 @@ TEST(DynamicClusterLinks, FailRestoreRoundTripRestoresDelaysExactly) {
   }
   // Delays return to their exact pre-failure values (bit-identical)…
   EXPECT_EQ(cluster.avg_delay_ms(), baseline);
-  // …but the fingerprint still records that the topology churned.
-  EXPECT_NE(cluster.delay_fingerprint(), fp0);
+  // …but the epoch still records that the topology churned.
+  EXPECT_EQ(cluster.delay_epoch(), epoch0 + 2 * failable.size());
   EXPECT_EQ(cluster.link_stats().link_updates, 2 * failable.size());
 }
 
@@ -244,7 +281,8 @@ TEST(DynamicClusterLinks, SetLinkLatencyReportsPreviousAndMovesDelays) {
 
 TEST(DynamicClusterLinks, LinkVerbsRequireRouterEndpoints) {
   DynamicCluster cluster = make_cluster(12);
-  const topo::NodeId device = cluster.network().iot_nodes.front();
+  // Device ids follow the routers and servers in the scenario numbering.
+  const auto device = static_cast<topo::NodeId>(cluster.graph_node_count());
   const topo::NodeId server = cluster.network().edge_nodes.front();
   const auto links = topo::backbone_links(cluster.network());
   ASSERT_FALSE(links.empty());
@@ -272,13 +310,157 @@ TEST(DynamicClusterLinks, StatsCountSavingsAndRefreshes) {
   // Incrementality: each update must leave some tree nodes untouched
   // relative to a full recompute.
   EXPECT_GT(failed.nodes_saved + restored.nodes_saved, 0u);
-  // Every bound row is either refreshed or saved on each of the 2 updates.
-  EXPECT_EQ(cluster.delay_rows_saved() + cluster.delay_rows_refreshed(),
-            2 * cluster.device_slot_count());
-  EXPECT_EQ(cluster.delay_rows_refreshed(),
-            failed.rows_refreshed + restored.rows_refreshed);
+  // Delays are derived on read: no device row is ever rewritten.
+  EXPECT_EQ(failed.rows_refreshed + restored.rows_refreshed, 0u);
+  // The trees span the backbone only.
+  EXPECT_LE(failed.nodes_affected,
+            cluster.server_count() * cluster.graph_node_count());
   EXPECT_EQ(cluster.link_stats().nodes_affected,
             failed.nodes_affected + restored.nodes_affected);
+}
+
+TEST(DynamicCluster, RejectsMultiHomedDevices) {
+  ScenarioParams params;
+  params.workload.iot_count = 20;
+  params.workload.edge_count = 3;
+  params.attach.attach_count = 2;
+  const Scenario scenario = Scenario::generate(params);
+  EXPECT_THROW(DynamicCluster(scenario, Algorithm::kGreedyBestFit),
+               std::invalid_argument);
+}
+
+/// Applies one provider event to `cluster` through the adapter's slots.
+void apply_event(DynamicCluster& cluster, workload::WireAdapter& adapter,
+                 const workload::ProviderContext& ctx,
+                 const workload::Event& event) {
+  const auto joiner = [&event] {
+    workload::IotDevice device;
+    device.position = event.position;
+    device.request_rate_hz = event.rate_hz;
+    device.demand = event.demand;
+    return device;
+  };
+  switch (event.kind) {
+    case workload::EventKind::kJoin:
+      (void)adapter.render(event);
+      (void)cluster.join(joiner());
+      break;
+    case workload::EventKind::kLeave: {
+      const std::size_t slot = adapter.slot_of(event.device);
+      (void)adapter.render(event);
+      cluster.leave(slot);
+      break;
+    }
+    case workload::EventKind::kMove: {
+      const std::size_t slot = adapter.slot_of(event.device);
+      (void)adapter.render(event);
+      (void)cluster.move(slot, event.position);
+      break;
+    }
+    case workload::EventKind::kDemandPulse: {
+      const std::size_t slot = adapter.slot_of(event.device);
+      (void)adapter.render(event);
+      cluster.leave(slot);
+      (void)cluster.join(joiner());
+      break;
+    }
+    case workload::EventKind::kLinkFail:
+      (void)adapter.render(event);
+      (void)cluster.fail_link(ctx.links[event.link].first,
+                              ctx.links[event.link].second);
+      break;
+    case workload::EventKind::kLinkRestore:
+      (void)adapter.render(event);
+      (void)cluster.restore_link(ctx.links[event.link].first,
+                                 ctx.links[event.link].second);
+      break;
+    case workload::EventKind::kLinkSetLatency:
+      (void)adapter.render(event);
+      (void)cluster.set_link_latency(ctx.links[event.link].first,
+                                     ctx.links[event.link].second,
+                                     event.latency_ms);
+      break;
+  }
+}
+
+/// Every served delay equals Dijkstra over a full graph built here from
+/// scratch: the cluster's backbone in its current link state plus each
+/// active device on its own access link to its nearest router. The mean
+/// matches a fresh per-device sum.
+testing::AssertionResult delays_match_full_graph(
+    const DynamicCluster& cluster, const topo::LinkDelayModel& delay) {
+  const topo::NetworkTopology& backbone = cluster.network();
+  topo::Graph full = backbone.graph;
+  std::vector<topo::NodeId> node_of(cluster.device_slot_count(),
+                                    topo::kInvalidNode);
+  for (std::size_t i = 0; i < node_of.size(); ++i) {
+    if (!cluster.is_active(i)) continue;
+    const topo::Point2D at = cluster.device(i).position;
+    topo::NodeId nearest = topo::kInvalidNode;
+    double best = std::numeric_limits<double>::infinity();
+    for (topo::NodeId r = 0; r < backbone.graph.node_count(); ++r) {
+      if (backbone.kinds[r] != topo::NodeKind::kRouter) continue;
+      const double d = topo::euclidean_distance(backbone.positions[r], at);
+      if (d < best) {
+        best = d;
+        nearest = r;
+      }
+    }
+    node_of[i] = full.add_node();
+    full.add_edge(node_of[i], nearest, delay.access_link(best));
+  }
+  const auto trees = topo::dijkstra_fan_out(full, backbone.edge_nodes);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < node_of.size(); ++i) {
+    if (node_of[i] == topo::kInvalidNode) continue;
+    for (std::size_t j = 0; j < cluster.server_count(); ++j) {
+      const double want = trees[j].distance_ms[node_of[i]];
+      const double got = cluster.delay_ms(i, j);
+      if (!(got == want)) {
+        return testing::AssertionFailure()
+               << "device " << i << " server " << j << ": served " << got
+               << " vs Dijkstra " << want;
+      }
+    }
+    sum += trees[cluster.server_of(i)].distance_ms[node_of[i]];
+  }
+  const double mean = sum / static_cast<double>(cluster.active_count());
+  const double served = cluster.avg_delay_ms();
+  if (!(served == mean ||
+        std::abs(served - mean) <= 1e-9 * std::abs(mean))) {
+    return testing::AssertionFailure()
+           << "avg_delay_ms " << served << " vs per-device mean " << mean;
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(DynamicCluster, DelaysMatchFullGraphDijkstraForEveryProvider) {
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  const std::uint64_t seed = 23;
+  const Scenario scenario = Scenario::smart_city(24, 4, seed);
+  for (const std::string_view name : workload::provider_names()) {
+    const workload::ProviderContext ctx = workload::make_context(
+        scenario.network(), scenario.workload(),
+        scenario.params().workload.area_km, seed);
+    DynamicCluster cluster(scenario, Algorithm::kGreedyBestFit,
+                           cheap_options(seed));
+    auto provider = workload::make_provider(name, ctx);
+    workload::WireAdapter adapter(ctx, "s");
+    ASSERT_TRUE(delays_match_full_graph(cluster,
+                                        scenario.params().delay_model));
+    std::size_t events = 0;
+    for (int step = 0; step < 40; ++step) {
+      for (const workload::Event& event : provider->step(1.0)) {
+        apply_event(cluster, adapter, ctx, event);
+        ++events;
+        ASSERT_TRUE(delays_match_full_graph(cluster,
+                                            scenario.params().delay_model))
+            << name << " event " << events;
+        cluster.check_invariants();
+      }
+    }
+    EXPECT_GT(events, 0u) << name;
+  }
 }
 
 TEST(DynamicCluster, LoadsMatchAssignments) {

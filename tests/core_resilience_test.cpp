@@ -147,7 +147,7 @@ TEST(Move, ReassignsInPlaceAndKeepsBookkeeping) {
   EXPECT_TRUE(cluster.is_active(index));
   EXPECT_EQ(cluster.server_of(index), moved.server);
   EXPECT_EQ(cluster.active_count(), 60u);
-  EXPECT_EQ(cluster.graph_node_count(), nodes);  // node recycled, not leaked
+  EXPECT_EQ(cluster.graph_node_count(), nodes);  // devices add no graph node
   EXPECT_TRUE(cluster.feasible());
 }
 

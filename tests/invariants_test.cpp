@@ -11,8 +11,8 @@
 #include "core/dynamic.hpp"
 #include "service/engine.hpp"
 #include "topology/failures.hpp"
-#include "topology/incremental/cache.hpp"
 #include "topology/incremental/engine.hpp"
+#include "topology/oracle/factored.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -25,27 +25,18 @@ struct GraphTestPeer {
   static std::vector<std::vector<Adjacency>>& adjacency(Graph& graph) {
     return graph.adjacency_;
   }
-  static std::vector<NodeId>& free_list(Graph& graph) {
-    return graph.free_list_;
-  }
-  static std::vector<bool>& released(Graph& graph) {
-    return graph.released_;
+};
+
+namespace oracle {
+
+/// Friend of FactoredDelayStore.
+struct StoreTestPeer {
+  static std::vector<std::uint64_t>& slot_epochs(FactoredDelayStore& store) {
+    return store.slot_epoch_;
   }
 };
 
-namespace incr {
-
-/// Friend of DelayMatrixCache.
-struct CacheTestPeer {
-  static std::vector<std::uint64_t>& row_epochs(DelayMatrixCache& cache) {
-    return cache.row_epochs_;
-  }
-  static std::vector<std::vector<double>>& rows(DelayMatrixCache& cache) {
-    return cache.rows_;
-  }
-};
-
-}  // namespace incr
+}  // namespace oracle
 }  // namespace tacc::topo
 
 namespace tacc {
@@ -60,6 +51,9 @@ struct DynamicClusterTestPeer {
   }
   static std::vector<std::size_t>& free_slots(DynamicCluster& cluster) {
     return cluster.free_slots_;
+  }
+  static topo::oracle::FactoredDelayStore& store(DynamicCluster& cluster) {
+    return cluster.store_;
   }
 };
 
@@ -111,9 +105,9 @@ topo::Graph make_ring(std::size_t nodes = 6) {
 
 TEST_F(InvariantsTest, GraphHealthyStatePasses) {
   topo::Graph graph = make_ring();
-  graph.release_node(3);
   EXPECT_NO_THROW(graph.check_invariants());
-  EXPECT_EQ(graph.acquire_node(), 3u);  // recycled LIFO
+  graph.add_edge(0, 3, props(2.0));
+  ASSERT_TRUE(graph.remove_edge(1, 2));
   EXPECT_NO_THROW(graph.check_invariants());
 }
 
@@ -123,22 +117,6 @@ TEST_F(InvariantsTest, GraphCatchesAsymmetricAdjacency) {
   auto& adjacency = topo::GraphTestPeer::adjacency(graph);
   auto& row = adjacency[1];
   row.erase(row.begin());
-  EXPECT_THROW(graph.check_invariants(), ContractViolation);
-}
-
-TEST_F(InvariantsTest, GraphCatchesFreeListCorruption) {
-  topo::Graph graph = make_ring();
-  // A live node pushed onto the free list without being released: the next
-  // acquire_node() would hand out an id that still has edges.
-  topo::GraphTestPeer::free_list(graph).push_back(2);
-  EXPECT_THROW(graph.check_invariants(), ContractViolation);
-}
-
-TEST_F(InvariantsTest, GraphCatchesReleasedBitmapDrift) {
-  topo::Graph graph = make_ring();
-  graph.release_node(4);
-  // Marked released but no longer on the free list: the id is leaked.
-  topo::GraphTestPeer::free_list(graph).pop_back();
   EXPECT_THROW(graph.check_invariants(), ContractViolation);
 }
 
@@ -222,52 +200,33 @@ TEST_F(InvariantsTest, EngineCatchesOutOfBandTopologyEdit) {
   EXPECT_NO_THROW(engine.check_invariants(net.edge_count()));
 }
 
-// ---- topo::incr::DelayMatrixCache ------------------------------------------
+// ---- topo::oracle::FactoredDelayStore --------------------------------------
 
-TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
-  topo::NetworkTopology net = make_net(31);
-  topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
-  EXPECT_NO_THROW(cache.check_invariants());
-  const auto live = topo::backbone_links(net);
+TEST_F(InvariantsTest, StoreHealthyChurnPasses) {
+  const topo::NetworkTopology full = make_net(31);
+  topo::NetworkTopology backbone = topo::backbone_of(full);
+  topo::incr::IncrementalDelayEngine engine(backbone);
+  topo::oracle::FactoredDelayStore store(engine, full);
+  store.count_assigned(0, 0);
+  EXPECT_NO_THROW(store.check_invariants());
+  const auto live = topo::backbone_links(backbone);
   ASSERT_FALSE(live.empty());
   engine.fail_link(live[0].first, live[0].second);
-  // Stale rows are excused while their nodes sit in the dirty set…
-  EXPECT_NO_THROW(cache.check_invariants());
-  cache.refresh();
-  // …and current again after the refresh.
-  EXPECT_NO_THROW(cache.check_invariants());
+  store.refresh();
+  store.detach(1);
+  store.attach(1, store.router(0), 0.5);
+  EXPECT_NO_THROW(store.check_invariants());
 }
 
-TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
-  topo::NetworkTopology net = make_net(32);
-  topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
-  cache.bind_row(0, net.iot_nodes[0]);
-  // Move device 0's distances through the engine, then throw away the dirty
-  // notification instead of refreshing: the cache now serves stale delays
-  // it believes are current.
-  const topo::NodeId device = net.iot_nodes[0];
-  const topo::NodeId router = net.graph.neighbors(device)[0].to;
-  const double old_ms = net.graph.neighbors(device)[0].props.latency_ms;
-  engine.set_link_latency(device, router, old_ms * 3.0);
-  std::vector<topo::NodeId> discarded;
-  engine.drain_dirty(discarded);
-  EXPECT_THROW(cache.check_invariants(), ContractViolation);
-}
-
-TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
-  topo::NetworkTopology net = make_net(33);
-  topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
-  cache.bind_row(0, net.iot_nodes[0]);
-  // A row stamped past the engine epoch claims to have seen a mutation that
+TEST_F(InvariantsTest, StoreCatchesEpochFromTheFuture) {
+  const topo::NetworkTopology full = make_net(33);
+  topo::NetworkTopology backbone = topo::backbone_of(full);
+  topo::incr::IncrementalDelayEngine engine(backbone);
+  topo::oracle::FactoredDelayStore store(engine, full);
+  // A slot stamped past the store epoch claims to have seen a change that
   // never happened.
-  topo::incr::CacheTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;
-  EXPECT_THROW(cache.check_invariants(), ContractViolation);
+  topo::oracle::StoreTestPeer::slot_epochs(store)[0] = store.epoch() + 1;
+  EXPECT_THROW(store.check_invariants(), ContractViolation);
 }
 
 // ---- DynamicCluster --------------------------------------------------------
@@ -320,6 +279,14 @@ TEST_F(InvariantsTest, ClusterCatchesDanglingAssignment) {
   // Device 0 assigned to a server index that does not exist.
   DynamicClusterTestPeer::assignment(cluster)[0] =
       static_cast<std::int32_t>(cluster.server_count());
+  EXPECT_THROW(cluster.check_invariants(), ContractViolation);
+}
+
+TEST_F(InvariantsTest, ClusterCatchesDelayTallyDrift) {
+  DynamicCluster cluster = make_cluster(46);
+  // Device 0 counted twice: the tallied mean no longer matches the devices.
+  DynamicClusterTestPeer::store(cluster).count_assigned(
+      0, cluster.server_of(0));
   EXPECT_THROW(cluster.check_invariants(), ContractViolation);
 }
 

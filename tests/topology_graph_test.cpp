@@ -70,73 +70,6 @@ TEST(Graph, ParallelEdgesAllowedAndCounted) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
-TEST(Graph, ReleaseNodeDropsIncidentEdges) {
-  Graph g(4);
-  g.add_edge(0, 1, {1.0, 1.0});
-  g.add_edge(1, 2, {2.0, 1.0});
-  g.add_edge(2, 3, {3.0, 1.0});
-  g.release_node(1);
-  EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(2, 1));
-  EXPECT_TRUE(g.has_edge(2, 3));
-  EXPECT_EQ(g.degree(0), 0u);
-  EXPECT_EQ(g.degree(1), 0u);
-  EXPECT_TRUE(g.node_released(1));
-  EXPECT_EQ(g.released_node_count(), 1u);
-  EXPECT_EQ(g.live_node_count(), 3u);
-  EXPECT_EQ(g.node_count(), 4u);  // id space is stable
-}
-
-TEST(Graph, ReleaseNodeRemovesParallelEdges) {
-  Graph g(2);
-  g.add_edge(0, 1, {1.0, 1.0});
-  g.add_edge(0, 1, {2.0, 1.0});
-  g.release_node(0);
-  EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_EQ(g.degree(1), 0u);
-}
-
-TEST(Graph, AcquireReusesReleasedIdsLifo) {
-  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  Graph g(3);
-  g.release_node(1);
-  g.release_node(2);
-  g.check_invariants();
-  EXPECT_EQ(g.acquire_node(), 2u);  // most recently released first
-  EXPECT_EQ(g.acquire_node(), 1u);
-  EXPECT_EQ(g.acquire_node(), 3u);  // free list empty: append
-  EXPECT_EQ(g.node_count(), 4u);
-  EXPECT_EQ(g.released_node_count(), 0u);
-  g.check_invariants();
-}
-
-TEST(Graph, ReleasedNodesRejectEdgesAndDoubleRelease) {
-  Graph g(3);
-  g.release_node(0);
-  EXPECT_THROW(g.add_edge(0, 1, {1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 0, {1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(g.release_node(0), std::invalid_argument);
-  EXPECT_THROW(g.release_node(9), std::out_of_range);
-  const NodeId node = g.acquire_node();
-  EXPECT_EQ(node, 0u);
-  g.add_edge(0, 1, {1.0, 1.0});  // usable again after reacquisition
-  EXPECT_EQ(g.edge_count(), 1u);
-}
-
-TEST(Graph, ReleaseCycleKeepsTotalLatencyConsistent) {
-  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  Graph g(3);
-  g.add_edge(0, 1, {2.0, 1.0});
-  g.add_edge(1, 2, {3.0, 1.0});
-  g.release_node(2);
-  EXPECT_DOUBLE_EQ(g.total_latency(), 2.0);
-  const NodeId node = g.acquire_node();
-  g.add_edge(node, 1, {5.0, 1.0});
-  EXPECT_DOUBLE_EQ(g.total_latency(), 7.0);
-  g.check_invariants();
-}
-
 TEST(KnownGraph, HelperShape) {
   const Graph g = test::known_graph();
   EXPECT_EQ(g.node_count(), 6u);

@@ -16,9 +16,10 @@ real AST checks over compile_commands.json:
       all resolve to the same method declaration.
   R7  src/solvers/ and src/optimize/ never touch the delay store: flags
       any expression whose type — or whose referenced declaration's
-      parent — is tacc::topo::incr::DelayMatrixCache. Catches aliased
-      access (`auto& store = engine.cache(); store.refresh();`) where the
-      class name never appears in the file and the regex rule is blind.
+      parent — is tacc::topo::oracle::FactoredDelayStore. Catches aliased
+      access (`auto& store = cluster.delay_oracle(); store.refresh();`)
+      where the class name never appears in the file and the regex rule
+      is blind.
 
 Usage (from the repo root, after a cmake configure that wrote
 compile_commands.json):
@@ -145,23 +146,24 @@ class AstLinter:
                         f"{referenced.spelling}(); optimizer mutations must "
                         "go through DynamicCluster::apply_move_plan()")
 
-        # R7: any expression typed as (or declared inside) DelayMatrixCache.
+        # R7: any expression typed as (or declared inside) the store.
         if rel.startswith(R7_DIRS):
             hit = False
             type_spelling = cursor.type.spelling if cursor.type else ""
-            if "DelayMatrixCache" in type_spelling:
+            if "FactoredDelayStore" in type_spelling:
                 hit = True
             referenced = cursor.referenced
             if not hit and referenced is not None:
                 parent = referenced.semantic_parent
-                if parent is not None and parent.spelling == "DelayMatrixCache":
+                if (parent is not None
+                        and parent.spelling == "FactoredDelayStore"):
                     hit = True
             if hit:
                 self.report(
                     cursor, "R7",
-                    "expression touches tacc::topo::incr::DelayMatrixCache; "
-                    "query delays through the DelayOracle interface "
-                    "(topology/oracle/oracle.hpp)")
+                    "expression touches "
+                    "tacc::topo::oracle::FactoredDelayStore; query delays "
+                    "through DynamicCluster::delay_ms()")
 
     def walk(self, cursor) -> None:
         for child in cursor.walk_preorder():

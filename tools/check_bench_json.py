@@ -30,10 +30,11 @@ Per-bench requirements (beyond the generic schema):
     reopt_gap_pct and reopt_cpu_ratio metrics, a reopt_gap gate, a
     reopt_cpu gate on full runs (quick runs skip the timing gate), and
     the reopt_invariants + soak_accounting gates from the engine soak.
-    m6_oracle must record the approximate-oracle contract: a positive
-    certified_eps, a positive memory_ratio, an exact_fallback_rate in
-    [0, 1], and the solve_gap + envelope_containment + memory_reduction +
-    incremental_invalidation gates.
+    m6_oracle must record the factored-store scale contract: positive
+    resident_bytes, peak_rss_bytes, rss_budget_bytes and checked_entries
+    metrics, the bit_exact_sampled + zero_rebuilds gates, and the
+    rss_within_budget gate on full runs (quick runs, often under
+    sanitizers, only report the RSS).
 """
 
 import json
@@ -113,36 +114,32 @@ def check_file(path: pathlib.Path, require_gates_pass: bool) -> list[str]:
     if bench == "m5_reopt" and isinstance(metrics, dict):
         problems.extend(check_reopt_contract(path, doc, metrics, gates))
     if bench == "m6_oracle" and isinstance(metrics, dict):
-        problems.extend(check_oracle_contract(path, metrics, gates))
+        problems.extend(check_oracle_contract(path, doc, metrics, gates))
 
     return problems
 
 
-def check_oracle_contract(path: pathlib.Path, metrics: dict,
+def check_oracle_contract(path: pathlib.Path, doc: dict, metrics: dict,
                           gates) -> list[str]:
-    """m6_oracle: the approximate-oracle quality/memory contract."""
+    """m6_oracle: the factored delay store's scale contract."""
     problems = []
 
     def bad(msg: str) -> None:
         problems.append(f"{path}: {msg}")
 
-    for key in ("certified_eps", "memory_ratio"):
+    for key in ("resident_bytes", "peak_rss_bytes", "rss_budget_bytes",
+                "checked_entries"):
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             bad(f"m6_oracle must record a numeric {key} metric")
         elif value <= 0:
             bad(f"metric {key!r} must be positive, got {value!r}")
 
-    rate = metrics.get("exact_fallback_rate")
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-        bad("m6_oracle must record a numeric exact_fallback_rate metric")
-    elif not 0 <= rate <= 1:
-        bad(f"metric 'exact_fallback_rate' must be in [0, 1], got {rate!r}")
-
     gate_names = {g.get("name") for g in gates if isinstance(g, dict)} \
         if isinstance(gates, list) else set()
-    required = {"solve_gap", "envelope_containment", "memory_reduction",
-                "incremental_invalidation"}
+    required = {"bit_exact_sampled", "zero_rebuilds"}
+    if doc.get("quick") is not True:
+        required.add("rss_within_budget")  # RSS is only reported under --quick
     for name in sorted(required - gate_names):
         bad(f"m6_oracle must gate on {name}")
 

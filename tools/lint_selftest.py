@@ -10,8 +10,8 @@ linters classify every case correctly:
      justification sits on the FOLLOWING line is flagged (the false
      negative this rule exists to close), reasons on the marker line pass,
      block-comment markers are checked, NOLINTEND must name its checks.
-  3. The documented R7 regex blind spot: an aliased DelayMatrixCache
-     access (`auto& store = provider.cache(); store.refresh();`) that
+  3. The documented R7 regex blind spot: an aliased FactoredDelayStore
+     access (`auto& store = provider.store(); store.refresh();`) that
      never spells the class name is INVISIBLE to the regex linter — and
      detected by ast_lint.py when libclang is available. Same for an R6
      mutation through a temporary (`provider.cluster().join(...)`).
@@ -64,15 +64,15 @@ def rules_at(result: dict, rel: str) -> set[str]:
 
 def seed_tree(root: Path) -> None:
     # Minimal real-ish classes so the ast_lint cases parse as a TU.
-    write(root, "src/topology/incremental/cache.hpp", """\
+    write(root, "src/topology/oracle/factored.hpp", """\
 #pragma once
-namespace tacc::topo::incr {
-class DelayMatrixCache {
+namespace tacc::topo::oracle {
+class FactoredDelayStore {
  public:
   void refresh() {}
-  [[nodiscard]] double at(int, int) const { return 0.0; }
+  [[nodiscard]] double delay_ms(int, int) const { return 0.0; }
 };
-}  // namespace tacc::topo::incr
+}  // namespace tacc::topo::oracle
 """)
     write(root, "src/core/dynamic.hpp", """\
 #pragma once
@@ -87,14 +87,14 @@ class DynamicCluster {
     write(root, "src/core/provider.hpp", """\
 #pragma once
 #include "core/dynamic.hpp"
-#include "topology/incremental/cache.hpp"
+#include "topology/oracle/factored.hpp"
 namespace tacc::core {
 class Provider {
  public:
-  [[nodiscard]] topo::incr::DelayMatrixCache& cache() { return cache_; }
+  [[nodiscard]] topo::oracle::FactoredDelayStore& store() { return store_; }
   [[nodiscard]] DynamicCluster& cluster() { return cluster_; }
  private:
-  topo::incr::DelayMatrixCache cache_;
+  topo::oracle::FactoredDelayStore store_;
   DynamicCluster cluster_;
 };
 }  // namespace tacc::core
@@ -157,10 +157,10 @@ inline int r5g() { return 3; }
 #include "core/provider.hpp"
 namespace tacc::opt {
 double touch(core::Provider& provider) {
-  auto& store = provider.cache();
+  auto& store = provider.store();
   store.refresh();
   provider.cluster().join();
-  return store.at(0, 0);
+  return store.delay_ms(0, 0);
 }
 }  // namespace tacc::opt
 """)
@@ -237,7 +237,7 @@ def main() -> int:
             aliased = {(f["rule"]) for f in ast["findings"]
                        if f["file"] == "src/optimize/aliased.cpp"}
             check("R7" in aliased,
-                  "ast_lint R7 catches the aliased DelayMatrixCache access")
+                  "ast_lint R7 catches the aliased FactoredDelayStore access")
             check("R6" in aliased,
                   "ast_lint R6 catches the temporary-receiver mutation")
             asserting = {(f["rule"]) for f in ast["findings"]

@@ -29,10 +29,10 @@ Enforces the conventions clang-tidy cannot express:
       through DynamicCluster::apply_move_plan(), which re-validates
       against live state and meters the migration budget.
   R7  src/solvers/ and src/optimize/ never read the delay store directly:
-      no DelayMatrixCache references and no topology/incremental/cache.hpp
-      includes — all delay queries go through the DelayOracle interface
-      (src/topology/oracle/) so exact and approximate backends stay
-      interchangeable.
+      no FactoredDelayStore references and no topology/oracle/factored.hpp
+      includes — all delay queries go through DynamicCluster
+      (delay_ms()/placement_cost()), which owns the store's slots and
+      tally.
 
 Run from the repo root (or via the `lint` CMake target):
     python3 tools/lint_tacc.py [--json] [--root DIR]
@@ -163,18 +163,18 @@ def collect_findings(root: Path) -> list[dict]:
                            f"'{m.group(1)}.{m.group(2)}()' in src/optimize/; "
                            "use DynamicCluster::apply_move_plan()")
 
-            # R7: solvers and the optimizer see delays only through the
-            # DelayOracle; touching the cache ties them to the exact backend.
+            # R7: solvers and the optimizer see delays only through
+            # DynamicCluster; the store's slots are the cluster's to manage.
             if rel.startswith(("src/solvers/", "src/optimize/")):
-                if "DelayMatrixCache" in code:
+                if "FactoredDelayStore" in code:
                     report(path, i, "R7",
-                           "direct DelayMatrixCache reference; query delays "
-                           "through DelayOracle (topology/oracle/oracle.hpp)")
-                if re.search(r'#\s*include\s*"topology/incremental/cache\.hpp"',
+                           "direct FactoredDelayStore reference; query "
+                           "delays through DynamicCluster::delay_ms()")
+                if re.search(r'#\s*include\s*"topology/oracle/factored\.hpp"',
                              raw):
                     report(path, i, "R7",
-                           "topology/incremental/cache.hpp include; use the "
-                           "DelayOracle interface (topology/oracle/oracle.hpp)")
+                           "topology/oracle/factored.hpp include; query "
+                           "delays through DynamicCluster::delay_ms()")
 
         # R4: self-contained headers — a src/ .cpp includes its header first.
         if path.suffix == ".cpp":

@@ -65,9 +65,9 @@ int run(int argc, char** argv) {
       "reopt-window-s", options.engine.reopt.budget.window_s);
   options.engine.reopt.interval_ms =
       flags.get_double("reopt-interval-ms", options.engine.reopt.interval_ms);
-  // --oracle sets the delay-oracle backend for sessions whose CONFIGURE
-  // carries no oracle= option. Validate here so a typo fails at startup
-  // instead of on the first CONFIGURE.
+  // --oracle sets the oracle= spec for sessions whose CONFIGURE carries
+  // none (every spec is served by the exact delay store). Validate here so
+  // a typo fails at startup instead of on the first CONFIGURE.
   options.engine.default_oracle = flags.get_string("oracle", "");
   if (!options.engine.default_oracle.empty()) {
     try {
