@@ -313,10 +313,7 @@ double scale_point(std::size_t shards, std::size_t requests_per_driver,
   if (counters.rejected_overload != 0 || counters.rejected_deadline != 0 ||
       counters.accepted != counters.completed) {
     std::cerr << "scaling ledger at " << shards
-              << " shards: accepted=" << counters.accepted
-              << " completed=" << counters.completed
-              << " rejected_overload=" << counters.rejected_overload
-              << " rejected_deadline=" << counters.rejected_deadline << "\n";
+              << " shards: " << service::to_string(counters) << "\n";
     accounting_ok = false;
   }
   try {

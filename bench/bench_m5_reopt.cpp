@@ -357,10 +357,7 @@ bool engine_soak(std::size_t shards, std::size_t events_total,
   // CONFIGUREs are counted too, hence >=; the identity itself must hold.
   if (counters.accepted != counters.completed ||
       counters.rejected_overload != 0 || counters.rejected_deadline != 0) {
-    std::cerr << "soak ledger: accepted=" << counters.accepted
-              << " completed=" << counters.completed
-              << " rejected_overload=" << counters.rejected_overload
-              << " rejected_deadline=" << counters.rejected_deadline << "\n";
+    std::cerr << "soak ledger: " << service::to_string(counters) << "\n";
     ok = false;
   }
   try {

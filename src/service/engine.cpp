@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,7 +12,6 @@
 #include "core/dynamic.hpp"
 #include "core/scenario.hpp"
 #include "topology/failures.hpp"
-#include "topology/oracle/config.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 
@@ -39,17 +39,48 @@ std::size_t admission_quota(const EngineOptions& options, std::size_t shards) {
   return std::max<std::size_t>(1, (options.max_queue + shards - 1) / shards);
 }
 
-void add_counters(EngineCounters& into, const EngineCounters& from) {
-  into.accepted += from.accepted;
-  into.completed += from.completed;
-  into.failed += from.failed;
-  into.rejected_overload += from.rejected_overload;
-  into.rejected_deadline += from.rejected_deadline;
-  into.rejected_shutdown += from.rejected_shutdown;
-  into.rejected_not_found += from.rejected_not_found;
+/// The re-optimizer ledger's wire fields: REOPT_STATS prints them as is,
+/// session STATS under the prefix "reopt_".
+OkLine& append_reopt(OkLine& line, const opt::ReoptStats& stats) {
+  return line.field("passes", stats.passes)
+      .field("plans", stats.plans)
+      .field("proposed", stats.moves_proposed)
+      .field("applied", stats.moves_applied)
+      .field("rejected_stale", stats.rejected_stale)
+      .field("rejected_target_failed", stats.rejected_target_failed)
+      .field("rejected_infeasible", stats.rejected_infeasible)
+      .field("rejected_budget", stats.rejected_budget)
+      .field("predicted_gain", stats.predicted_gain)
+      .field("achieved_gain", stats.achieved_gain);
 }
 
 }  // namespace
+
+EngineCounters& EngineCounters::operator+=(
+    const EngineCounters& other) noexcept {
+  for (const auto& [name, member] : kCounterFields) {
+    this->*member += other.*member;
+  }
+  return *this;
+}
+
+OkLine& append_counters(OkLine& line, const EngineCounters& counters) {
+  for (const auto& [name, member] : kCounterFields) {
+    line.field(name, counters.*member);
+  }
+  return line;
+}
+
+std::string to_string(const EngineCounters& counters) {
+  std::string text;
+  for (const auto& [name, member] : kCounterFields) {
+    if (!text.empty()) text += ' ';
+    text += name;
+    text += '=';
+    text += std::to_string(counters.*member);
+  }
+  return text;
+}
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   const std::size_t shards = resolve_shards(options_);
@@ -75,35 +106,31 @@ void Engine::begin_shutdown() {
 
 void Engine::drain() {
   for (const auto& shard : shards_) {
-    const MutexLock lock(&shard->mutex);
-    while (shard->in_flight != 0) shard->drained_cv.wait(shard->mutex);
+    {
+      const MutexLock lock(&shard->mutex);
+      while (shard->in_flight != 0) shard->drained_cv.wait(shard->mutex);
+    }
+    // A batch frees its in-flight slots before its drain task delivers the
+    // replies; the task is done once the pool idles.
+    shard->pool.wait_idle();
   }
 }
 
 std::size_t Engine::queue_depth() const {
   std::size_t depth = 0;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(&shard->mutex);
-    depth += shard->in_flight;
-  }
+  for (const ShardView& view : shard_views()) depth += view.in_flight;
   return depth;
 }
 
 EngineCounters Engine::counters() const {
   EngineCounters total;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(&shard->mutex);
-    add_counters(total, shard->counters);
-  }
+  for (const ShardView& view : shard_views()) total += view.counters;
   return total;
 }
 
 std::size_t Engine::session_count() const {
   std::size_t count = 0;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(&shard->mutex);
-    count += shard->sessions.size();
-  }
+  for (const ShardView& view : shard_views()) count += view.sessions;
   return count;
 }
 
@@ -122,16 +149,7 @@ std::size_t Engine::shard_quota() const noexcept {
   return shards_.front()->quota;
 }
 
-void Engine::check_invariants() const {
-  // Snapshot each shard under its own mutex, then check unlocked: the
-  // failure handler may throw, and must not do so while holding a lock.
-  struct ShardView {
-    EngineCounters counters;
-    EngineCounters session_sum;
-    std::size_t in_flight = 0;
-    std::size_t pending_total = 0;
-    std::size_t draining_sessions = 0;
-  };
+std::vector<Engine::ShardView> Engine::shard_views() const {
   std::vector<ShardView> views;
   views.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -139,17 +157,24 @@ void Engine::check_invariants() const {
     const MutexLock lock(&shard->mutex);
     view.counters = shard->counters;
     view.in_flight = shard->in_flight;
+    view.sessions = shard->sessions.size();
     for (const auto& [name, session] : shard->sessions) {
       // Session fields are guarded by the back-pointer to this very mutex;
       // tell the analysis the alias is held (see Session::shard_mutex).
       session->shard_mutex->assert_held();
-      view.pending_total += session->pending.size();
+      view.pending += session->pending.size();
       if (session->draining) ++view.draining_sessions;
-      add_counters(view.session_sum, session->counters);
+      view.session_sum += session->counters;
     }
     views.push_back(view);
   }
+  return views;
+}
 
+void Engine::check_invariants() const {
+  // Check the views unlocked: the failure handler may throw, and must not
+  // do so while holding a lock.
+  const std::vector<ShardView> views = shard_views();
   EngineCounters total;
   std::size_t total_in_flight = 0;
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -168,12 +193,12 @@ void Engine::check_invariants() const {
             std::to_string(c.failed) + " + expired " +
             std::to_string(c.rejected_deadline) + " + in-flight " +
             std::to_string(view.in_flight));
-    TACC_CHECK_INVARIANT(view.pending_total <= view.in_flight,
+    TACC_CHECK_INVARIANT(view.pending <= view.in_flight,
                          where + "queued events exceed the in-flight count");
     TACC_CHECK_INVARIANT(view.in_flight <= shards_[i]->quota,
                          where + "admission exceeded the shard quota");
     TACC_CHECK_INVARIANT(
-        view.pending_total == 0 || view.draining_sessions > 0,
+        view.pending == 0 || view.draining_sessions > 0,
         where + "events queued with no drainer scheduled");
     // Shard counters are the sum of their sessions' counters for every
     // event that reached a session. (Overload/shutdown/not-found bounces
@@ -187,7 +212,7 @@ void Engine::check_invariants() const {
     TACC_CHECK_INVARIANT(
         c.rejected_overload >= view.session_sum.rejected_overload,
         where + "session overload rejections exceed the shard's");
-    add_counters(total, c);
+    total += c;
     total_in_flight += view.in_flight;
   }
   TACC_CHECK_INVARIANT(
@@ -217,7 +242,8 @@ void Engine::submit(const Request& request, Responder respond) {
       request.timeout_ms.value_or(options_.default_timeout_ms);
   Event event{request, std::move(respond), now,
               now + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(timeout_ms))};
+                        std::chrono::duration<double, std::milli>(timeout_ms)),
+              {}};
 
   Shard& shard = *shards_[shard_of(request.session)];
   enum class Outcome { kAccepted, kOverloaded, kNotFound, kShuttingDown };
@@ -242,8 +268,7 @@ void Engine::submit(const Request& request, Responder respond) {
       if (it != shard.sessions.end()) {
         session = it->second;
       } else if (request.verb == Verb::kConfigure) {
-        session =
-            std::make_shared<Session>(request.session, options_, &shard.mutex);
+        session = std::make_shared<Session>(request.session, &shard.mutex);
         shard.sessions.emplace(request.session, session);
       }
       if (session) {
@@ -326,48 +351,38 @@ void Engine::drain_session(Shard& shard,
       // execution here, possibly long after batch formation.
       if (deadline_expired(event.deadline, Clock::now())) {
         ++expired;
-        event.respond(err_line(ErrorCode::kDeadlineExceeded,
-                               "expired after queueing"));
+        event.reply =
+            err_line(ErrorCode::kDeadlineExceeded, "expired after queueing");
         continue;
       }
       // Past this point the request runs to completion and its result is
       // answered even if the deadline passes meanwhile: the mutation
       // stands, so an error would invite a retry that repeats it.
-      std::string line = apply(*session, event.request);
+      event.reply = apply(*session, event.request);
       const Clock::time_point finished = Clock::now();
-      const bool ok = line.starts_with("OK");
-      (ok ? completed : failed) += 1;
+      (event.reply.starts_with("OK") ? completed : failed) += 1;
       latencies.push_back(
           std::chrono::duration<double, std::micro>(finished - event.enqueued)
               .count());
-      event.respond(std::move(line));
     }
 
     // One metrics flush per batch (micro-batching's second dividend). Still
     // under the cluster lock: the snapshot must not race optimizer moves.
-    snapshot.configured = session->cluster != nullptr;
     if (session->cluster) {
       const DynamicCluster& cluster = *session->cluster;
+      snapshot.configured = true;
       snapshot.devices = cluster.active_count();
       snapshot.servers = cluster.server_count();
       snapshot.healthy_servers = cluster.healthy_server_count();
       snapshot.avg_delay_ms = cluster.avg_delay_ms();
       snapshot.max_utilization = cluster.max_utilization();
       snapshot.feasible = cluster.feasible();
-      const topo::incr::EngineStats& link_stats = cluster.link_stats();
       snapshot.delay_epoch = cluster.delay_epoch();
-      snapshot.link_updates = link_stats.link_updates;
-      snapshot.link_nodes_affected = link_stats.nodes_affected;
-      snapshot.link_nodes_saved = link_stats.nodes_saved;
+      snapshot.links = cluster.link_stats();
     }
     if (session->reoptimizer) {
       snapshot.reopt_running = session->reoptimizer->running();
-      const opt::ReoptStats reopt = session->reoptimizer->stats();
-      snapshot.reopt_passes = reopt.passes;
-      snapshot.reopt_proposed = reopt.moves_proposed;
-      snapshot.reopt_applied = reopt.moves_applied;
-      snapshot.reopt_rejected = reopt.rejected();
-      snapshot.reopt_gain = reopt.achieved_gain;
+      snapshot.reopt = session->reoptimizer->stats();
     }
     cluster_lock.release();
     {
@@ -388,6 +403,10 @@ void Engine::drain_session(Shard& shard,
       shard.in_flight -= batch.size();
       if (shard.in_flight == 0) shard.drained_cv.notify_all();
     }
+    // Answer only now, with both locks dropped: a client holding a reply
+    // finds its request in every STATS counter and the snapshot, and its
+    // admission slot already free.
+    for (Event& event : batch) event.respond(std::move(event.reply));
   }
 }
 
@@ -408,14 +427,9 @@ std::string Engine::apply(Session& session, const Request& request) {
       }();
       AlgorithmOptions algorithm_options;
       algorithm_options.apply_seed(request.seed);
-      // Per-request oracle= beats the daemon-wide --oracle default; both
-      // were validated at parse/startup, so this parse only throws (caught
-      // below as BAD_REQUEST) if a raw EngineOptions carried a bad spec.
-      const std::string& oracle_spec =
-          !request.oracle.empty() ? request.oracle : options_.default_oracle;
-      ConfigureRequest configure(request.algorithm, algorithm_options,
-                                 CostModel::kTopologyAware, 10.0,
-                                 topo::oracle::parse_oracle_spec(oracle_spec));
+      // request.oracle was validated at parse time; every valid spec is
+      // served by the exact delay store, so the default config stands.
+      const ConfigureRequest configure(request.algorithm, algorithm_options);
       // The optimizer (if any) references the old cluster: stop and detach
       // it before the swap, then re-attach onto the replacement with the
       // same tuning (or the engine default under auto_reopt).
@@ -514,9 +528,9 @@ std::string Engine::apply(Session& session, const Request& request) {
         return OkLine()
             .field("u", request.link_u)
             .field("v", request.link_v)
-            .field("epoch", static_cast<std::size_t>(report.epoch))
-            .field("affected", static_cast<std::size_t>(report.nodes_affected))
-            .field("saved", static_cast<std::size_t>(report.nodes_saved))
+            .field("epoch", report.epoch)
+            .field("affected", report.nodes_affected)
+            .field("saved", report.nodes_saved)
             .field("rows_refreshed", report.rows_refreshed)
             // For LINK_SET this is the latency the link had before.
             .field("latency_ms", report.latency_ms)
@@ -566,7 +580,7 @@ std::string Engine::apply(Session& session, const Request& request) {
         return OkLine()
             .field("session", session.name)
             .field("running", false)
-            .field("moves_applied", static_cast<std::size_t>(applied))
+            .field("moves_applied", applied)
             .str();
       }
       case Verb::kReoptStats: {
@@ -574,25 +588,9 @@ std::string Engine::apply(Session& session, const Request& request) {
         line.field("session", session.name)
             .field("running", session.reoptimizer != nullptr &&
                                   session.reoptimizer->running());
-        const opt::ReoptStats stats = session.reoptimizer
-                                          ? session.reoptimizer->stats()
-                                          : opt::ReoptStats{};
-        return line
-            .field("passes", static_cast<std::size_t>(stats.passes))
-            .field("plans", static_cast<std::size_t>(stats.plans))
-            .field("proposed",
-                   static_cast<std::size_t>(stats.moves_proposed))
-            .field("applied", static_cast<std::size_t>(stats.moves_applied))
-            .field("rejected_stale",
-                   static_cast<std::size_t>(stats.rejected_stale))
-            .field("rejected_target_failed",
-                   static_cast<std::size_t>(stats.rejected_target_failed))
-            .field("rejected_infeasible",
-                   static_cast<std::size_t>(stats.rejected_infeasible))
-            .field("rejected_budget",
-                   static_cast<std::size_t>(stats.rejected_budget))
-            .field("predicted_gain", stats.predicted_gain)
-            .field("achieved_gain", stats.achieved_gain)
+        return append_reopt(line, session.reoptimizer
+                                      ? session.reoptimizer->stats()
+                                      : opt::ReoptStats{})
             .str();
       }
       case Verb::kOracleStats: {
@@ -602,13 +600,12 @@ std::string Engine::apply(Session& session, const Request& request) {
             .field("session", session.name)
             .field("backend", store.name())
             .field("rows", store.slot_count())
-            .field("epoch", static_cast<std::size_t>(store.epoch()))
-            .field("queries", static_cast<std::size_t>(stats.queries))
-            .field("bound_hits", static_cast<std::size_t>(stats.bound_hits))
-            .field("exact_fallbacks",
-                   static_cast<std::size_t>(stats.exact_fallbacks))
-            .field("row_fills", static_cast<std::size_t>(stats.row_fills))
-            .field("rebuilds", static_cast<std::size_t>(stats.rebuilds))
+            .field("epoch", store.epoch())
+            .field("queries", stats.queries)
+            .field("bound_hits", stats.bound_hits)
+            .field("exact_fallbacks", stats.exact_fallbacks)
+            .field("row_fills", stats.row_fills)
+            .field("rebuilds", stats.rebuilds)
             .field("resident_bytes", store.resident_bytes())
             .str();
       }
@@ -642,29 +639,15 @@ std::string Engine::apply(Session& session, const Request& request) {
 
 std::string Engine::stats_line(const Request& request) const {
   if (request.session.empty()) {
-    // Global STATS: one coherent snapshot per shard (each under its own
-    // lock), summed after the locks drop. The accounting identity holds
-    // exactly within every per-shard block and in the aggregate.
-    struct ShardView {
-      EngineCounters counters;
-      std::size_t in_flight = 0;
-      std::size_t sessions = 0;
-    };
-    std::vector<ShardView> views;
-    views.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      ShardView view;
-      const MutexLock lock(&shard->mutex);
-      view.counters = shard->counters;
-      view.in_flight = shard->in_flight;
-      view.sessions = shard->sessions.size();
-      views.push_back(view);
-    }
+    // Global STATS: one coherent view per shard (each under its own lock),
+    // summed after the locks drop. The accounting identity holds exactly
+    // within every per-shard block and in the aggregate.
+    const std::vector<ShardView> views = shard_views();
     EngineCounters total;
     std::size_t depth = 0;
     std::size_t sessions = 0;
     for (const ShardView& view : views) {
-      add_counters(total, view.counters);
+      total += view.counters;
       depth += view.in_flight;
       sessions += view.sessions;
     }
@@ -673,36 +656,22 @@ std::string Engine::stats_line(const Request& request) const {
         .field("shards", shards_.size())
         .field("shard_quota", shard_quota())
         .field("queue_depth", depth)
-        .field("max_queue", options_.max_queue)
-        .field("accepted", static_cast<std::size_t>(total.accepted))
-        .field("completed", static_cast<std::size_t>(total.completed))
-        .field("failed", static_cast<std::size_t>(total.failed))
-        .field("rejected_overload",
-               static_cast<std::size_t>(total.rejected_overload))
-        .field("rejected_deadline",
-               static_cast<std::size_t>(total.rejected_deadline))
-        .field("rejected_shutdown",
-               static_cast<std::size_t>(total.rejected_shutdown))
-        .field("rejected_not_found",
-               static_cast<std::size_t>(total.rejected_not_found));
+        .field("max_queue", options_.max_queue);
+    append_counters(line, total);
     if (request.per_shard) {
       // STATS shards=1: per-shard ledger blocks. Each block is a coherent
       // cut, so s<k>_accepted == s<k>_completed + s<k>_failed +
-      // s<k>_deadline + s<k>_depth holds in every reply.
+      // s<k>_rejected_deadline + s<k>_depth holds in every reply.
       for (std::size_t i = 0; i < views.size(); ++i) {
-        const std::string prefix = "s" + std::to_string(i) + "_";
-        const EngineCounters& c = views[i].counters;
-        line.field(prefix + "depth", views[i].in_flight)
-            .field(prefix + "accepted", static_cast<std::size_t>(c.accepted))
-            .field(prefix + "completed",
-                   static_cast<std::size_t>(c.completed))
-            .field(prefix + "failed", static_cast<std::size_t>(c.failed))
-            .field(prefix + "deadline",
-                   static_cast<std::size_t>(c.rejected_deadline))
-            .field(prefix + "sessions", views[i].sessions);
+        char prefix[32];
+        std::snprintf(prefix, sizeof prefix, "s%zu_", i);
+        line.prefix(prefix)
+            .field("depth", views[i].in_flight)
+            .field("sessions", views[i].sessions);
+        append_counters(line, views[i].counters);
       }
     }
-    return line.str();
+    return line.prefix({}).str();
   }
 
   const std::size_t shard_index = shard_of(request.session);
@@ -723,8 +692,8 @@ std::string Engine::stats_line(const Request& request) const {
   // Derived under the same lock, so it can never go negative.
   const std::uint64_t in_flight =
       c.accepted - c.completed - c.failed - c.rejected_deadline;
-  return OkLine()
-      .field("session", session.name)
+  OkLine line;
+  line.field("session", session.name)
       .field("shard", shard_index)
       .field("configured", s.configured)
       .field("devices", s.devices)
@@ -733,28 +702,17 @@ std::string Engine::stats_line(const Request& request) const {
       .field("avg_delay_ms", s.avg_delay_ms)
       .field("max_utilization", s.max_utilization)
       .field("feasible", s.feasible)
-      .field("delay_epoch", static_cast<std::size_t>(s.delay_epoch))
-      .field("link_updates", static_cast<std::size_t>(s.link_updates))
-      .field("link_nodes_affected",
-             static_cast<std::size_t>(s.link_nodes_affected))
-      .field("link_nodes_saved",
-             static_cast<std::size_t>(s.link_nodes_saved))
+      .field("delay_epoch", s.delay_epoch)
+      .field("link_updates", s.links.link_updates)
+      .field("link_nodes_affected", s.links.nodes_affected)
+      .field("link_nodes_saved", s.links.nodes_saved)
       .field("reopt_running", s.reopt_running)
-      .field("reopt_passes", static_cast<std::size_t>(s.reopt_passes))
-      .field("reopt_proposed", static_cast<std::size_t>(s.reopt_proposed))
-      .field("reopt_applied", static_cast<std::size_t>(s.reopt_applied))
-      .field("reopt_rejected", static_cast<std::size_t>(s.reopt_rejected))
-      .field("reopt_gain", s.reopt_gain)
-      .field("accepted", static_cast<std::size_t>(c.accepted))
-      .field("completed", static_cast<std::size_t>(c.completed))
-      .field("failed", static_cast<std::size_t>(c.failed))
-      .field("rejected_overload",
-             static_cast<std::size_t>(c.rejected_overload))
-      .field("rejected_deadline",
-             static_cast<std::size_t>(c.rejected_deadline))
-      .field("in_flight", static_cast<std::size_t>(in_flight))
+      .prefix("reopt_");
+  append_reopt(line, s.reopt).prefix({});
+  append_counters(line, c);
+  return line.field("in_flight", in_flight)
       .field("pending", session.pending.size())
-      .field("batches", static_cast<std::size_t>(session.batches))
+      .field("batches", session.batches)
       .field("latency_count", h.total())
       .field("p50_us", h.quantile(0.50))
       .field("p99_us", h.quantile(0.99))

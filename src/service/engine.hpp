@@ -29,6 +29,12 @@
 //    for one task dispatch and one metrics flush instead of N. Events on
 //    one session always execute sequentially (single drainer per session);
 //    different sessions execute concurrently on their shards' pools.
+//  - Book, then answer: a batch's replies are delivered, in order, only
+//    after its counters, latencies, snapshot and admission slots are
+//    booked and both locks have dropped. A client holding a reply
+//    therefore sees its request in every STATS field, and its slot is free
+//    for the next request. The price: a reply waits for the rest of its
+//    batch (at most `max_batch` events).
 //  - Deadlines are checked when an event is dequeued for execution: a
 //    request whose deadline has passed at dequeue time (boundary included
 //    — deadline exactly at dequeue counts as expired) answers
@@ -47,6 +53,7 @@
 // line, on the submitting thread (rejections, STATS) or a worker thread.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -56,6 +63,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic.hpp"
@@ -82,9 +90,6 @@ struct EngineOptions {
   double default_timeout_ms = 1000.0;
   /// Max events one drain pass executes before re-checking the queue.
   std::size_t max_batch = 32;
-  /// Service-latency histogram range/resolution (microseconds).
-  double histogram_max_us = 20'000.0;
-  std::size_t histogram_bins = 2'000;
   /// Attach + start a background re-optimizer on every session as soon as
   /// it is configured (taccd --reopt). Sessions can still attach/detach
   /// individually with REOPT_START/REOPT_STOP.
@@ -92,10 +97,6 @@ struct EngineOptions {
   /// Budget/planner defaults for attached re-optimizers; REOPT_START
   /// options override per session.
   opt::ReoptOptions reopt;
-  /// Delay-oracle spec applied to sessions whose CONFIGURE carries no
-  /// oracle= option (taccd --oracle). Empty means the exact default; must
-  /// parse (see topology/oracle/config.hpp) or CONFIGURE fails BAD_REQUEST.
-  std::string default_oracle;
 };
 
 /// Aggregate counters across a shard's (or the engine's) lifetime.
@@ -111,7 +112,29 @@ struct EngineCounters {
   /// a rejection — counting it as `failed` would break the accounting
   /// identity (failed events must have been accepted first).
   std::uint64_t rejected_not_found = 0;
+
+  EngineCounters& operator+=(const EngineCounters& other) noexcept;
 };
+
+/// Every EngineCounters member with its wire name, in reply order: the one
+/// list that operator+=, the STATS replies, taccd's exit line and the bench
+/// ledger logs read.
+inline constexpr std::array<
+    std::pair<std::string_view, std::uint64_t EngineCounters::*>, 7>
+    kCounterFields{{
+        {"accepted", &EngineCounters::accepted},
+        {"completed", &EngineCounters::completed},
+        {"failed", &EngineCounters::failed},
+        {"rejected_overload", &EngineCounters::rejected_overload},
+        {"rejected_deadline", &EngineCounters::rejected_deadline},
+        {"rejected_shutdown", &EngineCounters::rejected_shutdown},
+        {"rejected_not_found", &EngineCounters::rejected_not_found},
+    }};
+
+/// Appends one field per counter to a response line.
+OkLine& append_counters(OkLine& line, const EngineCounters& counters);
+/// "accepted=N completed=N ..." for logs.
+[[nodiscard]] std::string to_string(const EngineCounters& counters);
 
 class Engine {
  public:
@@ -136,7 +159,8 @@ class Engine {
   /// ERR SHUTTING_DOWN); already admitted requests still execute.
   void begin_shutdown();
   /// Blocks until every admitted request on every shard has received its
-  /// response.
+  /// response (its batch booked, then its reply delivered). Must not be
+  /// called from a responder.
   void drain();
 
   /// Queued + executing requests summed across shards.
@@ -185,6 +209,8 @@ class Engine {
     Responder respond;
     Clock::time_point enqueued;
     Clock::time_point deadline;
+    /// Set by the drain task; delivered once the event's batch is booked.
+    std::string reply;
   };
 
   /// Cheap cluster-state numbers re-sampled after every batch so STATS
@@ -197,27 +223,24 @@ class Engine {
     double avg_delay_ms = 0.0;
     double max_utilization = 0.0;
     bool feasible = true;
-    // Incremental delay engine counters (LINK_* verbs).
     std::uint64_t delay_epoch = 0;
-    std::uint64_t link_updates = 0;
-    std::uint64_t link_nodes_affected = 0;
-    std::uint64_t link_nodes_saved = 0;
+    /// Incremental delay engine counters (LINK_* verbs).
+    topo::incr::EngineStats links;
     // Background re-optimizer ledger (REOPT_START/REOPT_STOP); sampled at
     // the batch flush like everything else, so STATS stays lock-coherent.
     bool reopt_running = false;
-    std::uint64_t reopt_passes = 0;
-    std::uint64_t reopt_proposed = 0;
-    std::uint64_t reopt_applied = 0;
-    std::uint64_t reopt_rejected = 0;
-    double reopt_gain = 0.0;
+    opt::ReoptStats reopt;
   };
 
+  /// Service-latency histogram range and resolution (microseconds).
+  static constexpr double kLatencyMaxUs = 20'000.0;
+  static constexpr std::size_t kLatencyBins = 2'000;
+
   struct Session {
-    Session(std::string session_name, const EngineOptions& options,
-            Mutex* owning_shard_mutex)
+    Session(std::string session_name, Mutex* owning_shard_mutex)
         : shard_mutex(owning_shard_mutex),
           name(std::move(session_name)),
-          latency_us(0.0, options.histogram_max_us, options.histogram_bins) {}
+          latency_us(0.0, kLatencyMaxUs, kLatencyBins) {}
 
     // Back-pointer to the owning Shard's mutex: the guard expression for
     // every queue/metrics field below. The thread-safety analysis cannot
@@ -280,6 +303,18 @@ class Engine {
     EngineCounters counters TACC_GUARDED_BY(mutex);
     runtime::ThreadPool pool;  // last member: workers stop before state dies
   };
+
+  /// One shard's ledger, copied under its lock.
+  struct ShardView {
+    EngineCounters counters;
+    EngineCounters session_sum;  ///< Σ over the shard's sessions
+    std::size_t in_flight = 0;
+    std::size_t sessions = 0;
+    std::size_t pending = 0;  ///< queued events over all sessions
+    std::size_t draining_sessions = 0;
+  };
+  /// Every shard's view, each taken under that shard's lock alone.
+  [[nodiscard]] std::vector<ShardView> shard_views() const;
 
   void drain_session(Shard& shard, const std::shared_ptr<Session>& session);
   /// Executes one event against the session's cluster; returns the response

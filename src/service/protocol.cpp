@@ -1,9 +1,12 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "topology/oracle/config.hpp"
@@ -25,28 +28,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
   return tokens;
 }
 
-std::optional<double> parse_double(std::string_view token) {
-  double value = 0.0;
-  const auto* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-std::optional<std::size_t> parse_size(std::string_view token) {
-  std::size_t value = 0;
-  const auto* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-std::optional<bool> parse_bool(std::string_view token) {
-  if (token == "1" || token == "true") return true;
-  if (token == "0" || token == "false") return false;
-  return std::nullopt;
-}
-
 bool valid_session_name(std::string_view name) {
   if (name.empty() || name.size() > 64) return false;
   for (const char c : name) {
@@ -61,161 +42,238 @@ ParseResult fail(std::string message) {
   return ParseResult{std::nullopt, std::move(message)};
 }
 
-/// Applies one key=value option token to `request`. Keys not in `allowed`
-/// (a space-separated list) are rejected so typos surface immediately.
-bool apply_option(Request& request, std::string_view key,
-                  std::string_view value, std::string_view allowed,
-                  std::string& error) {
-  const auto permitted = [&](std::string_view k) {
-    // Exact-word containment in the allowed list.
-    std::size_t pos = 0;
-    while (pos <= allowed.size()) {
-      const std::size_t next = allowed.find(' ', pos);
-      const std::string_view word =
-          allowed.substr(pos, next == std::string_view::npos ? allowed.size() - pos
-                                                             : next - pos);
-      if (word == k) return true;
-      if (next == std::string_view::npos) break;
-      pos = next + 1;
-    }
-    return false;
-  };
-  if (!permitted(key)) {
-    error = "unknown option '" + std::string(key) + "' for this verb";
-    return false;
-  }
+// ---- Decoders: one per RequestMember type ----------------------------------
 
-  const auto bad_value = [&] {
-    error = "bad value for option '" + std::string(key) + "'";
-    return false;
-  };
-  if (key == "timeout_ms") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) return bad_value();
-    request.timeout_ms = *v;
-  } else if (key == "seed") {
-    const auto v = parse_size(value);
-    if (!v) return bad_value();
-    request.seed = *v;
-  } else if (key == "algo") {
-    try {
-      request.algorithm = algorithm_from_string(value);
-    } catch (const std::invalid_argument&) {
-      return bad_value();
-    }
-  } else if (key == "oracle") {
-    // Validate eagerly so a typo'd spec is a parse error, not a session
-    // failure later; the engine re-parses the stored string at CONFIGURE.
-    try {
-      (void)topo::oracle::parse_oracle_spec(value);
-    } catch (const std::invalid_argument& e) {
-      error = "bad value for option 'oracle': ";
-      error += e.what();
-      return false;
-    }
-    request.oracle = std::string(value);
-  } else if (key == "preset") {
-    if (value == "smart_city") {
-      request.preset = ScenarioPreset::kSmartCity;
-    } else if (value == "factory") {
-      request.preset = ScenarioPreset::kFactory;
-    } else if (value == "campus") {
-      request.preset = ScenarioPreset::kCampus;
-    } else {
-      return bad_value();
-    }
-  } else if (key == "demand") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) return bad_value();
-    request.demand = *v;
-  } else if (key == "rate") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) return bad_value();
-    request.rate_hz = *v;
-  } else if (key == "pinned") {
-    const auto v = parse_bool(value);
-    if (!v) return bad_value();
-    request.pinned = *v;
-  } else if (key == "evacuate") {
-    const auto v = parse_bool(value);
-    if (!v) return bad_value();
-    request.evacuate = *v;
-  } else if (key == "limit") {
-    const auto v = parse_size(value);
-    if (!v || *v == 0) return bad_value();
-    request.limit = *v;
-  } else if (key == "shards") {
-    const auto v = parse_bool(value);
-    if (!v) return bad_value();
-    request.per_shard = *v;
-  } else if (key == "moves") {
-    const auto v = parse_size(value);
-    if (!v || *v == 0) return bad_value();
-    request.reopt_moves = *v;
-  } else if (key == "device_moves") {
-    const auto v = parse_size(value);
-    if (!v || *v == 0) return bad_value();
-    request.reopt_device_moves = *v;
-  } else if (key == "window_s") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) return bad_value();
-    request.reopt_window_s = *v;
-  } else if (key == "interval_ms") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) return bad_value();
-    request.reopt_interval_ms = *v;
+/// A count or a number: the whole token must parse.
+template <typename T>
+  requires std::is_same_v<T, std::size_t> || std::is_same_v<T, double>
+bool decode(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool decode(std::string_view token, std::optional<double>& out) {
+  double value = 0.0;
+  if (!decode(token, value)) return false;
+  out = value;
+  return true;
+}
+
+bool decode(std::string_view token, bool& out) {
+  if (token == "1" || token == "true") {
+    out = true;
+  } else if (token == "0" || token == "false") {
+    out = false;
   } else {
-    error = "unhandled option '" + std::string(key) + "'";
     return false;
   }
   return true;
 }
 
-/// Consumes trailing key=value tokens starting at `first`.
-bool apply_options(Request& request,
-                   const std::vector<std::string_view>& tokens,
-                   std::size_t first, std::string_view allowed,
-                   std::string& error) {
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::string_view token = tokens[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      error = "expected key=value option, got '" + std::string(token) + "'";
-      return false;
-    }
-    if (!apply_option(request, token.substr(0, eq), token.substr(eq + 1),
-                      allowed, error)) {
-      return false;
+bool decode(std::string_view token, Algorithm& out) {
+  try {
+    out = algorithm_from_string(token);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+bool decode(std::string_view token, ScenarioPreset& out) {
+  for (const ScenarioPreset preset :
+       {ScenarioPreset::kSmartCity, ScenarioPreset::kFactory,
+        ScenarioPreset::kCampus}) {
+    if (token == to_string(preset)) {
+      out = preset;
+      return true;
     }
   }
+  return false;
+}
+
+/// The oracle= spec, validated eagerly so a typo'd spec is a parse error
+/// rather than a session failure later. parse_oracle_spec throws
+/// std::invalid_argument listing the spec grammar; the error line keeps it.
+bool decode(std::string_view token, std::string& oracle) {
+  (void)topo::oracle::parse_oracle_spec(token);
+  oracle = std::string(token);
   return true;
+}
+
+bool admits(const Bound& bound, double value) {
+  return bound.positive ? value > 0.0
+                        : value >= bound.lo && value <= bound.hi;
+}
+
+enum class Decoded { kOk, kMalformed, kOutOfBounds };
+
+/// Decodes `token` into the member `field` names, then checks its bound.
+Decoded assign(Request& request, const GrammarField& field,
+               std::string_view token) {
+  return std::visit(
+      [&](auto member) {
+        if constexpr (std::is_same_v<decltype(member), std::monostate>) {
+          return Decoded::kMalformed;
+        } else {
+          auto& out = request.*member;
+          if (!decode(token, out)) return Decoded::kMalformed;
+          using T = std::remove_reference_t<decltype(out)>;
+          if constexpr (std::is_same_v<T, std::size_t> ||
+                        std::is_same_v<T, double>) {
+            if (!admits(field.bound, static_cast<double>(out))) {
+              return Decoded::kOutOfBounds;
+            }
+          } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+            if (!admits(field.bound, *out)) return Decoded::kOutOfBounds;
+          }
+          return Decoded::kOk;
+        }
+      },
+      field.member);
+}
+
+// ---- The grammar -----------------------------------------------------------
+
+constexpr Bound kPositive{.positive = true};
+
+constexpr GrammarField kOptions[] = {
+    {"timeout_ms", &Request::timeout_ms, kPositive},
+    {"seed", &Request::seed},
+    {"algo", &Request::algorithm},
+    {"preset", &Request::preset},
+    {"oracle", &Request::oracle},
+    {"demand", &Request::demand, kPositive},
+    {"rate", &Request::rate_hz, kPositive},
+    {"pinned", &Request::pinned},
+    {"evacuate", &Request::evacuate},
+    {"limit", &Request::limit, kPositive},
+    {"shards", &Request::per_shard},
+    {"moves", &Request::reopt_moves, kPositive},
+    {"device_moves", &Request::reopt_device_moves, kPositive},
+    {"window_s", &Request::reopt_window_s, kPositive},
+    {"interval_ms", &Request::reopt_interval_ms, kPositive},
+};
+static_assert(std::size(kOptions) <= 32, "VerbSpec::options has 32 bits");
+
+/// The option mask of a space-separated key list. consteval, so a key with
+/// no row in kOptions fails the build.
+consteval std::uint32_t allow(std::string_view keys) {
+  std::uint32_t mask = 0;
+  while (!keys.empty()) {
+    const std::string_view key = keys.substr(0, keys.find(' '));
+    std::size_t row = 0;
+    while (row < std::size(kOptions) && kOptions[row].name != key) ++row;
+    if (row == std::size(kOptions)) throw "option key missing from kOptions";
+    mask |= std::uint32_t{1} << row;
+    keys.remove_prefix(std::min(key.size() + 1, keys.size()));
+  }
+  return mask;
+}
+
+constexpr GrammarField kDevice{"device index", &Request::index};
+constexpr GrammarField kServer{"server index", &Request::index};
+constexpr GrammarField kX{"x coordinate", &Request::x};
+constexpr GrammarField kY{"y coordinate", &Request::y};
+constexpr GrammarField kLinkU{"link endpoint u", &Request::link_u};
+constexpr GrammarField kLinkV{"link endpoint v", &Request::link_v};
+
+constexpr VerbSpec kVerbs[] = {
+    {"CONFIGURE", Verb::kConfigure, SessionArg::kRequired,
+     {{"iot count", &Request::iot, kPositive},
+      {"edge count", &Request::edge, kPositive}},
+     allow("seed algo preset oracle timeout_ms")},
+    {"JOIN", Verb::kJoin, SessionArg::kRequired, {kX, kY},
+     allow("demand rate timeout_ms")},
+    {"MOVE", Verb::kMove, SessionArg::kRequired, {kDevice, kX, kY},
+     allow("pinned timeout_ms")},
+    {"LEAVE", Verb::kLeave, SessionArg::kRequired, {kDevice},
+     allow("timeout_ms")},
+    {"FAIL", Verb::kFail, SessionArg::kRequired, {kServer},
+     allow("evacuate timeout_ms")},
+    {"RECOVER", Verb::kRecover, SessionArg::kRequired, {kServer},
+     allow("timeout_ms")},
+    {"EVACUATE", Verb::kEvacuate, SessionArg::kRequired, {kServer},
+     allow("timeout_ms")},
+    {"LINK_FAIL", Verb::kLinkFail, SessionArg::kRequired, {kLinkU, kLinkV},
+     allow("timeout_ms")},
+    {"LINK_RESTORE", Verb::kLinkRestore, SessionArg::kRequired,
+     {kLinkU, kLinkV}, allow("timeout_ms")},
+    {"LINK_SET", Verb::kLinkSet, SessionArg::kRequired,
+     {kLinkU, kLinkV, {"latency ms", &Request::latency_ms, kPositive}},
+     allow("timeout_ms")},
+    {"LINKS", Verb::kLinks, SessionArg::kRequired, {},
+     allow("limit timeout_ms")},
+    {"REOPT_START", Verb::kReoptStart, SessionArg::kRequired, {},
+     allow("moves device_moves window_s interval_ms timeout_ms")},
+    {"REOPT_STOP", Verb::kReoptStop, SessionArg::kRequired, {},
+     allow("timeout_ms")},
+    {"REOPT_STATS", Verb::kReoptStats, SessionArg::kRequired, {},
+     allow("timeout_ms")},
+    {"ORACLE_STATS", Verb::kOracleStats, SessionArg::kRequired, {},
+     allow("timeout_ms")},
+    {"SLEEP", Verb::kSleep, SessionArg::kRequired,
+     {{"sleep ms", &Request::sleep_ms, {.lo = 0.0, .hi = 10'000.0}}},
+     allow("timeout_ms")},
+    {"STATS", Verb::kStats, SessionArg::kOptional, {}, allow("shards")},
+    {"PING", Verb::kPing, SessionArg::kNone},
+    {"SHUTDOWN", Verb::kShutdown, SessionArg::kNone},
+};
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kVerbs); ++i) {
+        if (kVerbs[i].verb != static_cast<Verb>(i)) return false;
+      }
+      return std::size(kVerbs) ==
+             static_cast<std::size_t>(Verb::kShutdown) + 1;
+    }(),
+    "kVerbs holds one row per Verb, in enum order");
+
+std::string out_of_bounds(const GrammarField& arg) {
+  std::string message(arg.name);
+  if (arg.bound.positive) return message + " must be positive";
+  char range[64];
+  std::snprintf(range, sizeof range, " out of range [%g, %g]", arg.bound.lo,
+                arg.bound.hi);
+  return message + range;
+}
+
+/// Applies one key=value option token. Keys outside `allowed` are rejected
+/// so typos surface immediately.
+bool apply_option(Request& request, std::string_view token,
+                  std::uint32_t allowed, std::string& error) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string_view::npos || eq == 0) {
+    error = "expected key=value option, got '" + std::string(token) + "'";
+    return false;
+  }
+  const std::string_view key = token.substr(0, eq);
+  std::size_t row = 0;
+  while (row < std::size(kOptions) && kOptions[row].name != key) ++row;
+  if (row == std::size(kOptions) ||
+      (allowed & (std::uint32_t{1} << row)) == 0) {
+    error = "unknown option '" + std::string(key) + "' for this verb";
+    return false;
+  }
+  try {
+    if (assign(request, kOptions[row], token.substr(eq + 1)) ==
+        Decoded::kOk) {
+      return true;
+    }
+    error = "bad value for option '" + std::string(key) + "'";
+  } catch (const std::invalid_argument& e) {
+    error = "bad value for option '" + std::string(key) + "': " + e.what();
+  }
+  return false;
 }
 
 }  // namespace
 
+std::span<const VerbSpec> verb_table() noexcept { return kVerbs; }
+
 std::string_view to_string(Verb verb) noexcept {
-  switch (verb) {
-    case Verb::kConfigure: return "CONFIGURE";
-    case Verb::kJoin: return "JOIN";
-    case Verb::kMove: return "MOVE";
-    case Verb::kLeave: return "LEAVE";
-    case Verb::kFail: return "FAIL";
-    case Verb::kRecover: return "RECOVER";
-    case Verb::kEvacuate: return "EVACUATE";
-    case Verb::kLinkFail: return "LINK_FAIL";
-    case Verb::kLinkRestore: return "LINK_RESTORE";
-    case Verb::kLinkSet: return "LINK_SET";
-    case Verb::kLinks: return "LINKS";
-    case Verb::kReoptStart: return "REOPT_START";
-    case Verb::kReoptStop: return "REOPT_STOP";
-    case Verb::kReoptStats: return "REOPT_STATS";
-    case Verb::kOracleStats: return "ORACLE_STATS";
-    case Verb::kSleep: return "SLEEP";
-    case Verb::kStats: return "STATS";
-    case Verb::kPing: return "PING";
-    case Verb::kShutdown: return "SHUTDOWN";
-  }
-  return "?";
+  const auto row = static_cast<std::size_t>(verb);
+  return row < std::size(kVerbs) ? kVerbs[row].name : "?";
 }
 
 std::string_view to_string(ErrorCode code) noexcept {
@@ -244,196 +302,63 @@ ParseResult parse_request(std::string_view line) {
   const std::vector<std::string_view> tokens = tokenize(line);
   if (tokens.empty()) return fail("empty request");
 
+  const auto* spec =
+      std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                   [&](const VerbSpec& row) { return row.name == tokens[0]; });
+  if (spec == std::end(kVerbs)) {
+    return fail("unknown verb '" + std::string(tokens[0]) + "'");
+  }
+
   Request request;
+  request.verb = spec->verb;
+  std::size_t next = 1;
+  switch (spec->session) {
+    case SessionArg::kNone:
+      if (tokens.size() > 1) {
+        return fail(std::string(spec->name) + " takes no arguments");
+      }
+      break;
+    case SessionArg::kOptional:
+      // Session names cannot contain '=', so the first token either names
+      // a session or starts the key=value options.
+      if (tokens.size() == 1 ||
+          tokens[1].find('=') != std::string_view::npos) {
+        break;
+      }
+      [[fallthrough]];
+    case SessionArg::kRequired:
+      if (tokens.size() == 1) return fail("missing session name");
+      if (!valid_session_name(tokens[1])) {
+        return fail("bad session name '" + std::string(tokens[1]) +
+                    "' (1-64 chars of [A-Za-z0-9_.:-])");
+      }
+      request.session = std::string(tokens[1]);
+      next = 2;
+      break;
+  }
+
+  for (const GrammarField& arg : spec->args) {
+    if (arg.name.empty()) break;
+    if (next == tokens.size()) return fail("missing " + std::string(arg.name));
+    switch (assign(request, arg, tokens[next])) {
+      case Decoded::kOk:
+        break;
+      case Decoded::kMalformed:
+        return fail("bad " + std::string(arg.name) + " '" +
+                    std::string(tokens[next]) + "'");
+      case Decoded::kOutOfBounds:
+        return fail(out_of_bounds(arg));
+    }
+    ++next;
+  }
+
   std::string error;
-  const std::string_view verb = tokens[0];
-
-  const auto session_at = [&](std::size_t i) {
-    if (i >= tokens.size()) {
-      error = "missing session name";
-      return false;
-    }
-    if (!valid_session_name(tokens[i])) {
-      error = "bad session name '" + std::string(tokens[i]) +
-              "' (1-64 chars of [A-Za-z0-9_.:-])";
-      return false;
-    }
-    request.session = std::string(tokens[i]);
-    return true;
-  };
-  const auto double_at = [&](std::size_t i, double& out,
-                             std::string_view what) {
-    if (i >= tokens.size()) {
-      error = "missing " + std::string(what);
-      return false;
-    }
-    const auto v = parse_double(tokens[i]);
-    if (!v) {
-      error = "bad " + std::string(what) + " '" + std::string(tokens[i]) + "'";
-      return false;
-    }
-    out = *v;
-    return true;
-  };
-  const auto size_at = [&](std::size_t i, std::size_t& out,
-                           std::string_view what) {
-    if (i >= tokens.size()) {
-      error = "missing " + std::string(what);
-      return false;
-    }
-    const auto v = parse_size(tokens[i]);
-    if (!v) {
-      error = "bad " + std::string(what) + " '" + std::string(tokens[i]) + "'";
-      return false;
-    }
-    out = *v;
-    return true;
-  };
-  const auto options_from = [&](std::size_t first, std::string_view allowed) {
-    return apply_options(request, tokens, first, allowed, error);
-  };
-  const auto done = [&]() -> ParseResult {
-    return ParseResult{std::move(request), {}};
-  };
-
-  if (verb == "CONFIGURE") {
-    request.verb = Verb::kConfigure;
-    if (!session_at(1) || !size_at(2, request.iot, "iot count") ||
-        !size_at(3, request.edge, "edge count") ||
-        !options_from(4, "seed algo preset oracle timeout_ms")) {
+  for (; next < tokens.size(); ++next) {
+    if (!apply_option(request, tokens[next], spec->options, error)) {
       return fail(std::move(error));
     }
-    if (request.iot == 0 || request.edge == 0) {
-      return fail("iot and edge counts must be positive");
-    }
-    return done();
   }
-  if (verb == "JOIN") {
-    request.verb = Verb::kJoin;
-    if (!session_at(1) || !double_at(2, request.x, "x coordinate") ||
-        !double_at(3, request.y, "y coordinate") ||
-        !options_from(4, "demand rate timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "MOVE") {
-    request.verb = Verb::kMove;
-    if (!session_at(1) || !size_at(2, request.index, "device index") ||
-        !double_at(3, request.x, "x coordinate") ||
-        !double_at(4, request.y, "y coordinate") ||
-        !options_from(5, "pinned timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "LEAVE") {
-    request.verb = Verb::kLeave;
-    if (!session_at(1) || !size_at(2, request.index, "device index") ||
-        !options_from(3, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "FAIL" || verb == "RECOVER" || verb == "EVACUATE") {
-    request.verb = verb == "FAIL"      ? Verb::kFail
-                   : verb == "RECOVER" ? Verb::kRecover
-                                       : Verb::kEvacuate;
-    const std::string_view allowed =
-        verb == "FAIL" ? "evacuate timeout_ms" : "timeout_ms";
-    if (!session_at(1) || !size_at(2, request.index, "server index") ||
-        !options_from(3, allowed)) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "LINK_FAIL" || verb == "LINK_RESTORE") {
-    request.verb = verb == "LINK_FAIL" ? Verb::kLinkFail : Verb::kLinkRestore;
-    if (!session_at(1) || !size_at(2, request.link_u, "link endpoint u") ||
-        !size_at(3, request.link_v, "link endpoint v") ||
-        !options_from(4, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "LINK_SET") {
-    request.verb = Verb::kLinkSet;
-    if (!session_at(1) || !size_at(2, request.link_u, "link endpoint u") ||
-        !size_at(3, request.link_v, "link endpoint v") ||
-        !double_at(4, request.latency_ms, "latency ms") ||
-        !options_from(5, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    if (request.latency_ms <= 0.0) {
-      return fail("latency ms must be positive");
-    }
-    return done();
-  }
-  if (verb == "LINKS") {
-    request.verb = Verb::kLinks;
-    if (!session_at(1) || !options_from(2, "limit timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "REOPT_START") {
-    request.verb = Verb::kReoptStart;
-    if (!session_at(1) ||
-        !options_from(2,
-                      "moves device_moves window_s interval_ms timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "REOPT_STOP" || verb == "REOPT_STATS") {
-    request.verb =
-        verb == "REOPT_STOP" ? Verb::kReoptStop : Verb::kReoptStats;
-    if (!session_at(1) || !options_from(2, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "ORACLE_STATS") {
-    request.verb = Verb::kOracleStats;
-    if (!session_at(1) || !options_from(2, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    return done();
-  }
-  if (verb == "SLEEP") {
-    request.verb = Verb::kSleep;
-    if (!session_at(1) || !double_at(2, request.sleep_ms, "sleep ms") ||
-        !options_from(3, "timeout_ms")) {
-      return fail(std::move(error));
-    }
-    if (request.sleep_ms < 0.0 || request.sleep_ms > 10'000.0) {
-      return fail("sleep ms out of range [0, 10000]");
-    }
-    return done();
-  }
-  if (verb == "STATS") {
-    request.verb = Verb::kStats;
-    // Session names cannot contain '=', so the first token either names a
-    // session or starts the key=value options.
-    std::size_t first_option = 1;
-    if (tokens.size() > 1 && tokens[1].find('=') == std::string_view::npos) {
-      if (!session_at(1)) return fail(std::move(error));
-      first_option = 2;
-    }
-    if (!options_from(first_option, "shards")) return fail(std::move(error));
-    return done();
-  }
-  if (verb == "PING") {
-    request.verb = Verb::kPing;
-    if (tokens.size() > 1) return fail("PING takes no arguments");
-    return done();
-  }
-  if (verb == "SHUTDOWN") {
-    request.verb = Verb::kShutdown;
-    if (tokens.size() > 1) return fail("SHUTDOWN takes no arguments");
-    return done();
-  }
-  return fail("unknown verb '" + std::string(verb) + "'");
+  return ParseResult{std::move(request), {}};
 }
 
 std::string err_line(ErrorCode code, std::string_view message) {
@@ -448,14 +373,11 @@ std::string err_line(ErrorCode code, std::string_view message) {
 
 OkLine& OkLine::field(std::string_view key, std::string_view value) {
   line_ += ' ';
+  line_ += prefix_;
   line_ += key;
   line_ += '=';
   line_ += value;
   return *this;
-}
-
-OkLine& OkLine::field(std::string_view key, std::size_t value) {
-  return field(key, std::to_string(value));
 }
 
 OkLine& OkLine::field(std::string_view key, double value) {

@@ -4,9 +4,9 @@
 //
 //   CONFIGURE <session> <iot> <edge> [seed=N] [algo=NAME] [preset=NAME]
 //             [oracle=SPEC]            (e.g. "exact" or
-//                                       "landmark,k=8,eps=0.1"; every spec
-//                                       is served exactly — see
-//                                       topology/oracle/config.hpp)
+//                                       "landmark,k=8,eps=0.1"; validated,
+//                                       then every spec is served exactly —
+//                                       see topology/oracle/config.hpp)
 //   JOIN      <session> <x> <y> [demand=D] [rate=HZ]
 //   MOVE      <session> <device> <x> <y> [pinned=0|1]
 //   LEAVE     <session> <device>
@@ -27,28 +27,35 @@
 //                                         one per delay read —, bytes
 //                                         resident; envelope counters read 0)
 //   SLEEP     <session> <ms>               (diagnostic: occupies the session)
-//   STATS     [<session>] [shards=0|1]   (shards=1: per-shard breakdown)
+//   STATS     [<session>] [shards=0|1]   (shards=1: per-shard s<k>_* ledgers
+//                                         on the global reply)
 //   PING
 //   SHUTDOWN
 //
 // Every session verb additionally accepts timeout_ms=T, overriding the
-// server's default admission deadline for that request. Responses are
-// either "OK key=value ..." or "ERR <CODE> <message>"; see DESIGN.md for
-// the full grammar and semantics.
+// server's default admission deadline for that request. kVerbs and
+// kOptions in protocol.cpp are this grammar as data: parse_request is one
+// loop over a verb's row. Responses are either "OK key=value ..." or
+// "ERR <CODE> <message>"; see DESIGN.md for the full grammar and semantics.
 //
 // This header is pure parsing/formatting — no sockets, no sessions — so the
 // protocol is unit-testable in isolation.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "core/algorithms.hpp"
 
 namespace tacc::service {
 
+/// Request verbs, in the order of the grammar table (see verb_table()).
 enum class Verb {
   kConfigure,
   kJoin,
@@ -97,11 +104,11 @@ struct Request {
   // CONFIGURE
   std::size_t iot = 0;
   std::size_t edge = 0;
-  std::uint64_t seed = 1;
+  std::size_t seed = 1;
   Algorithm algorithm = Algorithm::kGreedyBestFit;
   ScenarioPreset preset = ScenarioPreset::kSmartCity;
-  /// Delay-oracle spec (oracle=SPEC, validated at parse time); empty keeps
-  /// the daemon's --oracle default.
+  /// Delay-oracle spec (oracle=SPEC), validated at parse time. Every valid
+  /// spec is served by the exact delay store, so the engine never reads it.
   std::string oracle;
 
   // JOIN / MOVE coordinates and device load
@@ -132,14 +139,60 @@ struct Request {
   // SLEEP
   double sleep_ms = 0.0;
 
-  // STATS: shards=1 appends the per-shard ledger breakdown
-  // (s<k>_depth/accepted/completed/failed/deadline/sessions) to the
-  // global reply.
+  // STATS: shards=1 appends the per-shard ledger blocks (s<k>_depth,
+  // s<k>_sessions and every counter as s<k>_<name>) to the global reply.
   bool per_shard = false;
 
   /// Per-request admission deadline override (timeout_ms=T).
   std::optional<double> timeout_ms;
 };
+
+// ---- The request grammar as data -------------------------------------------
+
+/// The Request member a positional argument or option decodes into; the
+/// member's type picks the decoder: a count, a number, a 0|1 flag, a
+/// deadline, an algorithm name, a preset name or an oracle spec.
+using RequestMember =
+    std::variant<std::monostate, std::size_t Request::*, double Request::*,
+                 bool Request::*, std::optional<double> Request::*,
+                 Algorithm Request::*, ScenarioPreset Request::*,
+                 std::string Request::*>;
+
+/// Range a decoded number must fall in: > 0 when `positive`, else
+/// [lo, hi].
+struct Bound {
+  bool positive = false;
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+/// One positional argument (named by its error-message label, e.g.
+/// "iot count") or one key=value option (named by its key).
+struct GrammarField {
+  std::string_view name;
+  RequestMember member;
+  Bound bound{};
+};
+
+/// Where a verb's session name sits: always second, optionally second
+/// (STATS: a token without '=' names the session), or nowhere.
+enum class SessionArg { kRequired, kOptional, kNone };
+
+/// One verb's row of the request grammar.
+struct VerbSpec {
+  std::string_view name;  ///< wire spelling
+  Verb verb;
+  SessionArg session = SessionArg::kRequired;
+  /// Positional arguments after the session, in order; unused slots have
+  /// an empty name.
+  GrammarField args[3] = {};
+  /// Allowed option keys: bit i admits row i of the option table.
+  std::uint32_t options = 0;
+};
+
+/// The grammar: one row per Verb, in enum order. parse_request and
+/// to_string(Verb) read nothing else.
+[[nodiscard]] std::span<const VerbSpec> verb_table() noexcept;
 
 /// Outcome of parse_request: either a request or a human-readable error.
 struct ParseResult {
@@ -166,14 +219,25 @@ class OkLine {
   OkLine& field(std::string_view key, const char* value) {
     return field(key, std::string_view(value));
   }
-  OkLine& field(std::string_view key, std::size_t value);
+  /// Any unsigned count (std::size_t, std::uint64_t, ...).
+  template <std::unsigned_integral T>
+  OkLine& field(std::string_view key, T value) {
+    return field(key, std::to_string(value));
+  }
   OkLine& field(std::string_view key, double value);
   OkLine& field(std::string_view key, bool value);
+  /// Prepends `prefix` to every key added from now on (e.g. "s0_" for a
+  /// per-shard block); an empty prefix ends the block.
+  OkLine& prefix(std::string_view prefix) {
+    prefix_ = prefix;
+    return *this;
+  }
 
   [[nodiscard]] std::string str() const { return line_; }
 
  private:
   std::string line_ = "OK";
+  std::string prefix_;
 };
 
 }  // namespace tacc::service

@@ -13,14 +13,6 @@ DynamicSsspTree::DynamicSsspTree(const Graph& graph, NodeId source)
   cmark_.assign(dist_.size(), 0);
 }
 
-void DynamicSsspTree::ensure_node_count(std::size_t count) {
-  if (count <= dist_.size()) return;
-  dist_.resize(count, kUnreachable);
-  parent_.resize(count, kInvalidNode);
-  mark_.resize(count, 0);
-  cmark_.resize(count, 0);
-}
-
 void DynamicSsspTree::bump_epochs() {
   if (++mark_epoch_ == 0) {
     std::fill(mark_.begin(), mark_.end(), 0);
@@ -67,7 +59,6 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
 SsspUpdateStats DynamicSsspTree::on_edge_added(const Graph& graph, NodeId u,
                                                NodeId v, double latency_ms,
                                                std::vector<NodeId>& changed) {
-  ensure_node_count(graph.node_count());
   bump_epochs();
   heap_.clear();
   const std::size_t before = changed.size();
@@ -86,7 +77,6 @@ SsspUpdateStats DynamicSsspTree::on_edge_added(const Graph& graph, NodeId u,
 SsspUpdateStats DynamicSsspTree::on_edge_removed(const Graph& graph, NodeId u,
                                                  NodeId v,
                                                  std::vector<NodeId>& changed) {
-  ensure_node_count(graph.node_count());
   // Only the tree edge's child-side subtree can be affected: every other
   // node's shortest path survives intact, and deletion never shortens one.
   if (parent_[v] == u) return repair_orphans(graph, v, changed);
@@ -97,7 +87,6 @@ SsspUpdateStats DynamicSsspTree::on_edge_removed(const Graph& graph, NodeId u,
 SsspUpdateStats DynamicSsspTree::on_edge_latency_changed(
     const Graph& graph, NodeId u, NodeId v, double old_latency_ms,
     double new_latency_ms, std::vector<NodeId>& changed) {
-  ensure_node_count(graph.node_count());
   if (new_latency_ms < old_latency_ms) {
     // A cheaper edge behaves exactly like a fresh insertion: only paths
     // through it can improve.

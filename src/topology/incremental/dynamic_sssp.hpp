@@ -55,10 +55,6 @@ class DynamicSsspTree {
     return parent_;
   }
 
-  /// Grows internal arrays to cover `count` nodes (new nodes unreachable).
-  /// Call after the graph acquires nodes beyond the initial count.
-  void ensure_node_count(std::size_t count);
-
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
   // for added, absent for removed, new weight for changed). Nodes whose
   // distance changed are appended to `changed` (each node once).

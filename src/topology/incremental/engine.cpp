@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <string>
 
-#include "runtime/thread_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace tacc::topo::incr {
 
-IncrementalDelayEngine::IncrementalDelayEngine(NetworkTopology& net,
-                                               std::size_t threads)
-    : net_(&net), threads_(threads) {
-  trees_.resize(net.edge_count());
-  runtime::parallel_for(net.edge_count(), threads_, [&](std::size_t j) {
-    trees_[j] = DynamicSsspTree(net.graph, net.edge_nodes[j]);
-  });
+IncrementalDelayEngine::IncrementalDelayEngine(NetworkTopology& net)
+    : net_(&net) {
+  trees_.reserve(net.edge_count());
+  for (const NodeId server : net.edge_nodes) {
+    trees_.emplace_back(net.graph, server);
+  }
   in_dirty_.assign(net.graph.node_count(), 0);
 }
 
@@ -86,11 +84,10 @@ std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
 }
 
 void IncrementalDelayEngine::rebuild() {
-  trees_.assign(net_->edge_count(), DynamicSsspTree());
-  runtime::parallel_for(net_->edge_count(), threads_, [&](std::size_t j) {
-    trees_[j] = DynamicSsspTree(net_->graph, net_->edge_nodes[j]);
-  });
-  in_dirty_.resize(net_->graph.node_count(), 0);
+  trees_.clear();
+  for (const NodeId server : net_->edge_nodes) {
+    trees_.emplace_back(net_->graph, server);
+  }
   ++stats_.epoch;
   ++stats_.rebuilds;
   for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
@@ -105,7 +102,7 @@ void IncrementalDelayEngine::check_invariants(
     std::size_t spot_check_trees) const {
   TACC_CHECK_INVARIANT(trees_.size() == net_->edge_count(),
                        "one tree per edge server");
-  TACC_CHECK_INVARIANT(in_dirty_.size() >= net_->graph.node_count(),
+  TACC_CHECK_INVARIANT(in_dirty_.size() == net_->graph.node_count(),
                        "dirty bitmap must cover every node");
 
   // Dirty list and membership bitmap must describe the same set.
@@ -121,8 +118,8 @@ void IncrementalDelayEngine::check_invariants(
   for (std::size_t j = 0; j < trees_.size(); ++j) {
     TACC_CHECK_INVARIANT(trees_[j].source() == net_->edge_nodes[j],
                          "tree rooted at the wrong server node");
-    TACC_CHECK_INVARIANT(trees_[j].node_count() >= net_->graph.node_count(),
-                         "tree not grown to the graph's node count");
+    TACC_CHECK_INVARIANT(trees_[j].node_count() == net_->graph.node_count(),
+                         "tree sized to the graph's node count");
   }
 
   // Exactness spot-check vs from-scratch Dijkstra, rotated by epoch so

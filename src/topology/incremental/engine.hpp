@@ -34,12 +34,10 @@ struct EngineStats {
 
 class IncrementalDelayEngine {
  public:
-  /// Builds one shortest-path tree per edge server of `net` (`threads`
-  /// spreads the initial Dijkstra runs; updates are serial). The engine
+  /// Builds one shortest-path tree per edge server of `net`. The engine
   /// keeps a pointer to `net` — it must outlive the engine and all
   /// mutations must go through the engine or be followed by rebuild().
-  explicit IncrementalDelayEngine(NetworkTopology& net,
-                                  std::size_t threads = 1);
+  explicit IncrementalDelayEngine(NetworkTopology& net);
 
   [[nodiscard]] const NetworkTopology& network() const noexcept {
     return *net_;
@@ -103,7 +101,6 @@ class IncrementalDelayEngine {
                       double new_ms);
 
   NetworkTopology* net_;
-  std::size_t threads_;
   std::vector<DynamicSsspTree> trees_;  ///< trees_[j] rooted at edge_nodes[j]
   EngineStats stats_;
 

@@ -1,5 +1,5 @@
-// The oracle= spec: "exact" or "landmark,k=8,eps=0.2", as accepted by
-// `taccd --oracle=` and the CONFIGURE wire option.
+// The oracle= spec: "exact" or "landmark,k=8,eps=0.2", as accepted by the
+// CONFIGURE wire option.
 //
 // The grammar and its range checks are kept so existing clients and
 // scripts keep working, but every valid spec is served by the one exact
@@ -43,8 +43,8 @@ struct OracleConfig {
 };
 
 /// Parses "exact[,compress=0|1][,hot=N]" or
-/// "landmark[,k=N][,eps=X][,compress=0|1][,hot=N][,seed=N]" — the same spec
-/// accepted by `taccd --oracle=` and the CONFIGURE wire option. Throws
+/// "landmark[,k=N][,eps=X][,compress=0|1][,hot=N][,seed=N]" — the spec the
+/// CONFIGURE wire option accepts. Throws
 /// std::invalid_argument (listing the valid keys) on an unknown backend,
 /// unknown key, or out-of-range value. An empty spec means the default
 /// exact backend.

@@ -55,6 +55,11 @@ std::uint64_t field_value(const std::string& line, const std::string& key) {
   return std::stoull(line.substr(at + key.size() + 2));
 }
 
+/// "s<k>_": the key prefix of shard k's block in a STATS shards=1 reply.
+std::string shard_prefix(std::size_t shard) {
+  return 's' + std::to_string(shard) + '_';
+}
+
 /// Session names, one per shard, discovered by probing the stable hash.
 std::vector<std::string> sessions_covering_all_shards(const Engine& engine) {
   std::vector<std::string> names(engine.shard_count());
@@ -135,7 +140,6 @@ TEST(Engine, GlobalAndSessionStats) {
   Engine engine(small_options());
   ASSERT_EQ(call(engine, "CONFIGURE s 25 4 seed=2").rfind("OK", 0), 0u);
   ASSERT_EQ(call(engine, "JOIN s 0.5 0.5").rfind("OK", 0), 0u);
-  engine.drain();  // counters/snapshot flush with the batch, post-response
 
   const std::string global = call(engine, "STATS");
   EXPECT_NE(global.find("sessions=1"), std::string::npos) << global;
@@ -149,6 +153,35 @@ TEST(Engine, GlobalAndSessionStats) {
   EXPECT_NE(session.find("p50_us="), std::string::npos);
 
   EXPECT_EQ(call(engine, "STATS nosuch").rfind("ERR NOT_FOUND", 0), 0u);
+}
+
+TEST(EngineBooking, ReplyArrivesAfterItsBatchIsBooked) {
+  Engine engine(small_options());
+  ASSERT_EQ(call(engine, "CONFIGURE s 20 3 seed=2").rfind("OK", 0), 0u);
+
+  // The MOVE sits between two SLEEPs, so whichever batch it lands in, a
+  // SLEEP runs after it in that batch or just before it. Its reply must
+  // not go out before its batch is booked: a client holding the reply
+  // finds the MOVE counted in STATS.
+  std::promise<std::string> moved;
+  std::future<std::string> moved_future = moved.get_future();
+  std::promise<std::string> slept;
+  std::future<std::string> slept_future = slept.get_future();
+  engine.submit(must_parse("SLEEP s 50"), [](const std::string&) {});
+  engine.submit(must_parse("MOVE s 0 1 1"), [&moved](std::string r) {
+    moved.set_value(std::move(r));
+  });
+  engine.submit(must_parse("SLEEP s 200"), [&slept](std::string r) {
+    slept.set_value(std::move(r));
+  });
+
+  // EXPECT, not ASSERT: an early return would leave the SLEEP's responder
+  // pointing at a destroyed promise.
+  EXPECT_EQ(moved_future.get().rfind("OK", 0), 0u);
+  const std::string stats = call(engine, "STATS s");
+  // The CONFIGURE, the first SLEEP and the MOVE.
+  EXPECT_GE(field_value(stats, "completed"), 3u) << stats;
+  EXPECT_EQ(slept_future.get().rfind("OK", 0), 0u);
 }
 
 TEST(Engine, LinkChurnRoundTripThroughWireVerbs) {
@@ -221,7 +254,6 @@ TEST(Engine, OverflowRejectsWithOverloaded) {
   options.max_queue = 1;
   Engine engine(options);
   ASSERT_EQ(call(engine, "CONFIGURE o 20 3 seed=6").rfind("OK", 0), 0u);
-  engine.drain();  // the CONFIGURE's admission slot frees after its response
 
   // The SLEEP occupies the single admission slot until it completes...
   std::promise<std::string> slept;
@@ -236,7 +268,6 @@ TEST(Engine, OverflowRejectsWithOverloaded) {
     EXPECT_EQ(rejected.rfind("ERR OVERLOADED", 0), 0u) << rejected;
   }
   EXPECT_EQ(slept_future.get().rfind("OK", 0), 0u);
-  engine.drain();  // the in-flight slot frees shortly AFTER the response
   EXPECT_EQ(engine.counters().rejected_overload, 3u);
 
   // Capacity freed: the same request is admitted again.
@@ -257,7 +288,6 @@ TEST(Engine, ExpiredQueuedRequestAnswersDeadlineExceeded) {
   const std::string expired = call(engine, "JOIN d 1.0 1.0 timeout_ms=1");
   EXPECT_EQ(expired.rfind("ERR DEADLINE_EXCEEDED", 0), 0u) << expired;
   EXPECT_EQ(slept_future.get().rfind("OK", 0), 0u);
-  engine.drain();  // counters flush with the batch, after the responses
   EXPECT_EQ(engine.counters().rejected_deadline, 1u);
 }
 
@@ -523,7 +553,7 @@ TEST(EngineSharding, GlobalStatsCarryShardFieldsAndBreakdown) {
 
   const std::string detailed = call(engine, "STATS shards=1");
   for (std::size_t shard = 0; shard < 2; ++shard) {
-    const std::string p = "s" + std::to_string(shard) + "_";
+    const std::string p = shard_prefix(shard);
     // Each shard processed its one session's CONFIGURE + JOIN.
     EXPECT_EQ(field_value(detailed, p + "accepted"), 2u) << detailed;
     EXPECT_EQ(field_value(detailed, p + "completed"), 2u) << detailed;
@@ -601,12 +631,13 @@ TEST(EngineConcurrency, StatsIdentityHoldsUnderConcurrentTraffic) {
     const std::string stats = call(engine, "STATS shards=1");
     ASSERT_EQ(stats.rfind("OK", 0), 0u) << stats;
     for (std::size_t shard = 0; shard < 2; ++shard) {
-      const std::string p = "s" + std::to_string(shard) + "_";
+      const std::string p = shard_prefix(shard);
       const std::uint64_t accepted = field_value(stats, p + "accepted");
-      const std::uint64_t settled = field_value(stats, p + "completed") +
-                                    field_value(stats, p + "failed") +
-                                    field_value(stats, p + "deadline") +
-                                    field_value(stats, p + "depth");
+      const std::uint64_t settled =
+          field_value(stats, p + "completed") +
+          field_value(stats, p + "failed") +
+          field_value(stats, p + "rejected_deadline") +
+          field_value(stats, p + "depth");
       ASSERT_EQ(accepted, settled)
           << "torn shard " << shard << " snapshot: " << stats;
     }
@@ -727,28 +758,6 @@ TEST(OracleEngine, DefaultsToExactBackend) {
   EXPECT_NE(stats.find(" backend=exact"), std::string::npos) << stats;
   // The exact backend certifies zero-width envelopes: no fallbacks recorded.
   EXPECT_EQ(field_value(stats, "exact_fallbacks"), 0u);
-}
-
-TEST(OracleEngine, EngineDefaultOracleAppliesWhenRequestOmitsIt) {
-  EngineOptions options = small_options();
-  options.default_oracle = "landmark,k=4";
-  Engine engine(options);
-  ASSERT_EQ(call(engine, "CONFIGURE city 30 4").rfind("OK", 0), 0u);
-  const std::string stats = call(engine, "ORACLE_STATS city");
-  EXPECT_NE(stats.find(" backend=exact"), std::string::npos) << stats;
-
-  // The default is what a request without oracle= is parsed against: an
-  // out-of-range default (taccd rejects it at startup; a raw EngineOptions
-  // can carry one) fails such a CONFIGURE, while a per-request spec wins.
-  EngineOptions broken = small_options();
-  broken.default_oracle = "landmark,k=0";
-  Engine strict(broken);
-  EXPECT_EQ(call(strict, "CONFIGURE city 30 4").rfind("ERR BAD_REQUEST", 0),
-            0u);
-  ASSERT_EQ(call(strict, "CONFIGURE other 30 4 oracle=exact").rfind("OK", 0),
-            0u);
-  EXPECT_NE(call(strict, "ORACLE_STATS other").find(" backend=exact"),
-            std::string::npos);
 }
 
 TEST(OracleEngine, StatsRequireAnExistingSession) {

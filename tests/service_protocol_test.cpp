@@ -309,6 +309,28 @@ TEST(OracleProtocol, StatsParsesAndRoundTrips) {
   EXPECT_EQ(to_string(Verb::kOracleStats), "ORACLE_STATS");
 }
 
+TEST(Protocol, GrammarTableHasOneRowPerVerbAndRoundTrips) {
+  const auto table = verb_table();
+  const auto verbs = static_cast<std::size_t>(Verb::kShutdown) + 1;
+  ASSERT_EQ(table.size(), verbs);
+  for (std::size_t v = 0; v < verbs; ++v) {
+    const auto verb = static_cast<Verb>(v);
+    std::size_t rows = 0;
+    for (const VerbSpec& spec : table) rows += spec.verb == verb ? 1 : 0;
+    EXPECT_EQ(rows, 1u) << to_string(verb);
+
+    // The smallest valid line for the verb: its name, a session where one
+    // is required, and "1" (inside every bound) per positional argument.
+    const VerbSpec& spec = table[v];
+    std::string line(to_string(verb));
+    if (spec.session == SessionArg::kRequired) line += " s";
+    for (const GrammarField& arg : spec.args) {
+      if (!arg.name.empty()) line += " 1";
+    }
+    EXPECT_EQ(parse_ok(line).verb, verb) << line;
+  }
+}
+
 TEST(Protocol, EnumNamesRoundTrip) {
   EXPECT_EQ(to_string(Verb::kConfigure), "CONFIGURE");
   EXPECT_EQ(to_string(Verb::kShutdown), "SHUTDOWN");

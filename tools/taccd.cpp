@@ -9,7 +9,6 @@
 //         [--max-batch=32] [--max-line=4096] [--verbose]
 //         [--reopt] [--reopt-moves=32] [--reopt-device-moves=1]
 //         [--reopt-window-s=10] [--reopt-interval-ms=50]
-//         [--oracle=exact|landmark[,k=N][,eps=E]]
 //
 // Sessions are hash-partitioned across --shards engine shards (default:
 // one per core), each with its own admission queue and workers; --threads
@@ -22,7 +21,6 @@
 #include <stdexcept>
 
 #include "service/server.hpp"
-#include "topology/oracle/config.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
 
@@ -65,18 +63,6 @@ int run(int argc, char** argv) {
       "reopt-window-s", options.engine.reopt.budget.window_s);
   options.engine.reopt.interval_ms =
       flags.get_double("reopt-interval-ms", options.engine.reopt.interval_ms);
-  // --oracle sets the oracle= spec for sessions whose CONFIGURE carries
-  // none (every spec is served by the exact delay store). Validate here so
-  // a typo fails at startup instead of on the first CONFIGURE.
-  options.engine.default_oracle = flags.get_string("oracle", "");
-  if (!options.engine.default_oracle.empty()) {
-    try {
-      (void)topo::oracle::parse_oracle_spec(options.engine.default_oracle);
-    } catch (const std::invalid_argument& error) {
-      std::cerr << "taccd: bad --oracle spec: " << error.what() << "\n";
-      return 2;
-    }
-  }
   if (flags.get_bool("verbose", false)) {
     util::set_log_level(util::LogLevel::kInfo);
   }
@@ -85,8 +71,7 @@ int run(int argc, char** argv) {
                  "[--shards=N] [--threads=N] [--max-queue=N] [--timeout-ms=T] "
                  "[--max-batch=N] [--max-line=BYTES] [--verbose] [--reopt] "
                  "[--reopt-moves=N] [--reopt-device-moves=N] "
-                 "[--reopt-window-s=S] [--reopt-interval-ms=T] "
-                 "[--oracle=SPEC]\n"
+                 "[--reopt-window-s=S] [--reopt-interval-ms=T]\n"
                  "at least one of --socket / --port is required\n";
     return 2;
   }
@@ -108,14 +93,7 @@ int run(int argc, char** argv) {
 
   server.run();
 
-  const service::EngineCounters counters = server.engine().counters();
-  std::cout << "taccd: exiting (accepted=" << counters.accepted
-            << " completed=" << counters.completed
-            << " failed=" << counters.failed
-            << " rejected_overload=" << counters.rejected_overload
-            << " rejected_deadline=" << counters.rejected_deadline
-            << " rejected_shutdown=" << counters.rejected_shutdown
-            << " rejected_not_found=" << counters.rejected_not_found
+  std::cout << "taccd: exiting (" << to_string(server.engine().counters())
             << ")\n";
   return 0;
 }

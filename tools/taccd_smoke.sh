@@ -99,8 +99,7 @@ Q2=$(field "$ORA2" queries)
 [ "$Q2" -gt "$Q1" ] \
   || { echo "FAIL: queries not increasing ($Q1 -> $Q2) after a JOIN"; exit 1; }
 
-# A landmark spec is accepted (per-request oracle= overrides the daemon-wide
-# default) and served exactly.
+# A landmark spec is accepted and served exactly.
 expect_ok CONFIGURE lmk 80 6 seed=7 oracle=landmark,k=4,eps=0.25
 expect_ok JOIN lmk 1.2 3.4
 LM1=$("$CLIENT" --socket="$SOCK" ORACLE_STATS lmk)
